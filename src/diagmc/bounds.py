@@ -19,6 +19,7 @@ from typing import Optional
 
 import numpy as np
 
+from .estimators import LinearGradientOracle, QuadraticGradientOracle
 from .operators import SymmetricOperator
 from .probes import validate_sparsity
 
@@ -33,6 +34,7 @@ __all__ = [
     "dgsm_tail_bound",
     "epsilon_for_samples_dgsm",
     "epsilon_for_samples_normwise",
+    "gaussian_normwise_window",
     "linear_model_constants",
     "normwise_constants",
     "normwise_tail_bound",
@@ -43,6 +45,8 @@ __all__ = [
     "quadratic_model_constants",
 ]
 
+# estimator methods (``EstimatorSpec.method``) that each family of bounds covers
+NORMWISE_METHODS = ("rademacher", "sparse")
 COMPONENT_METHODS = ("rademacher", "gaussian", "normalized_gaussian")
 
 
@@ -58,15 +62,43 @@ def _as_dense(matrix) -> np.ndarray:
     return m
 
 
-def _check_eps_delta(eps: float, delta: float) -> None:
-    if eps <= 0.0:
-        raise ValueError("epsilon must be positive")
-    if not (0.0 < delta < 1.0):
+def _check_args(n_samples=None, t=None, eps=None, delta=None) -> None:
+    # validates whichever of the common bound arguments a caller passes
+    if n_samples is not None and n_samples < 1:
+        raise ValueError("n_samples must be at least 1")
+    if t is not None and t <= 0.0:
+        raise ValueError("t must be positive")
+    if eps is not None and not (math.isfinite(eps) and eps > 0.0):
+        raise ValueError(f"epsilon must be positive and finite, got {eps}")
+    if delta is not None and not (0.0 < delta < 1.0):
         raise ValueError("delta must lie in (0, 1)")
 
 
 def _ceil_samples(value: float) -> int:
     return max(1, math.ceil(value - 1e-12))
+
+
+# The normwise and DGSM bounds are both the intrinsic-dimension matrix
+# Bernstein inequality, P[error >= t] <= 8 d exp(-N t^2 / (2 (v + L t / 3))),
+# with intrinsic dimension d, variance proxy v and summand bound L.  The
+# planner and its inverse take a relative target eps, t = eps * scale, and a
+# summand bound L together with r = v / (scale * L_absolute): normwise passes
+# (Delta2, Delta3) at scale ||D_A||, DGSM passes (s2, s3) at scale cmax.
+
+
+def _bernstein_tail(d: float, v: float, L: float, n_samples: int, t: float, clamp: bool) -> float:
+    raw = 8.0 * d * math.exp(-n_samples * t * t / (2.0 * (v + L * t / 3.0)))
+    return min(1.0, raw) if clamp else raw
+
+
+def _bernstein_samples(d: float, L: float, r: float, eps: float, delta: float) -> int:
+    # N >= (L / (3 eps^2)) (2 eps + 6 r) ln(8 d / delta)
+    return _ceil_samples(L / (3.0 * eps * eps) * (2.0 * eps + 6.0 * r) * math.log(8.0 * d / delta))
+
+
+def _bernstein_epsilon(d: float, L: float, r: float, n_samples: int, delta: float) -> float:
+    # the planner solved for eps after simplifying its 2 eps term to 2
+    return math.sqrt(L / (3.0 * n_samples) * (2.0 + 6.0 * r) * math.log(8.0 * d / delta))
 
 
 @dataclass(frozen=True)
@@ -149,14 +181,10 @@ def normwise_tail_bound(
     c: NormwiseConstants, n_samples: int, t: float, clamp: bool = True
 ) -> float:
     """P[normwise absolute error >= t] <= 8 d exp(-N t^2 / (2 (k1 + t k2 / 3)))."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
-    if t <= 0.0:
-        raise ValueError("t must be positive")
+    _check_args(n_samples=n_samples, t=t)
     if c.is_diagonal and c.s == 1.0:
         return 0.0
-    raw = 8.0 * c.d * math.exp(-n_samples * t * t / (2.0 * (c.k1 + t * c.k2 / 3.0)))
-    return min(1.0, raw) if clamp else raw
+    return _bernstein_tail(c.d, c.k1, c.k2, n_samples, t, clamp)
 
 
 def plan_samples_normwise(c: NormwiseConstants, eps: float, delta: float) -> int:
@@ -165,16 +193,10 @@ def plan_samples_normwise(c: NormwiseConstants, eps: float, delta: float) -> int
     N >= (delta2 / (3 eps^2)) (2 eps + 6 delta1 / delta2) ln(8 d / delta);
     a diagonal matrix (s = 1) needs a single sample.
     """
-    _check_eps_delta(eps, delta)
+    _check_args(eps=eps, delta=delta)
     if c.is_diagonal and c.s == 1.0:
         return 1
-    value = (
-        c.delta2
-        / (3.0 * eps * eps)
-        * (2.0 * eps + 6.0 * c.delta1 / c.delta2)
-        * math.log(8.0 * c.d / delta)
-    )
-    return _ceil_samples(value)
+    return _bernstein_samples(c.d, c.delta2, c.delta3, eps, delta)
 
 
 def epsilon_for_samples_normwise(
@@ -185,18 +207,10 @@ def epsilon_for_samples_normwise(
     eps = sqrt((delta2 / 3N) (2 + 6 delta3) ln(8 d / delta)); the constant-2
     simplification of the 2 eps term makes this the bound-curve formula.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
-    if not (0.0 < delta < 1.0):
-        raise ValueError("delta must lie in (0, 1)")
+    _check_args(n_samples=n_samples, delta=delta)
     if c.is_diagonal and c.s == 1.0:
         return 0.0
-    return math.sqrt(
-        c.delta2
-        / (3.0 * n_samples)
-        * (2.0 + 6.0 * c.delta3)
-        * math.log(8.0 * c.d / delta)
-    )
+    return _bernstein_epsilon(c.d, c.delta2, c.delta3, n_samples, delta)
 
 
 @dataclass(frozen=True)
@@ -217,6 +231,20 @@ class GaussianNormwisePlan:
     violation: Optional[str] = None
 
 
+def gaussian_normwise_window(matrix) -> tuple[float, float, int]:
+    """The Gaussian normwise planner's inputs: (||A||_inf / ||D_A||_inf, 8 e ln n, n).
+
+    The last two are the edges of the validity window 8 e ln n <= N <= n.
+    """
+    m = _as_dense(matrix)
+    n = m.shape[0]
+    norm_inf = float(np.max(np.sum(np.abs(m), axis=1)))
+    diag_inf = float(np.max(np.abs(np.diag(m))))
+    if diag_inf == 0.0:
+        raise ValueError("all diagonal entries are zero")
+    return norm_inf / diag_inf, 8.0 * math.e * math.log(n), n
+
+
 def plan_samples_gaussian_normwise(matrix, eps: float, delta: float) -> GaussianNormwisePlan:
     """Samples for a normwise (eps, delta) estimate with Gaussian probes.
 
@@ -224,38 +252,22 @@ def plan_samples_gaussian_normwise(matrix, eps: float, delta: float) -> Gaussian
     subject to the validity window 8 e ln n <= N <= n.  Infeasibility is a
     returned value, not an error.
     """
-    _check_eps_delta(eps, delta)
-    m = _as_dense(matrix)
-    n = m.shape[0]
+    _check_args(eps=eps, delta=delta)
+    ratio, window_low, n = gaussian_normwise_window(matrix)
     if n < 3:
         raise ValueError("the Gaussian normwise planner needs n >= 3")
-    norm_inf = float(np.max(np.sum(np.abs(m), axis=1)))
-    diag_inf = float(np.max(np.abs(np.diag(m))))
-    if diag_inf == 0.0:
-        raise ValueError("all diagonal entries are zero")
-    ratio = norm_inf / diag_inf
-    log_n = math.log(n)
-    required = 128.0 * (math.e * log_n) ** 3 / (eps * eps * delta) * ratio * ratio
+    required = 128.0 * (math.e * math.log(n)) ** 3 / (eps * eps * delta) * ratio * ratio
     planned = _ceil_samples(required)
-    window_low = 8.0 * math.e * log_n
+    violation = None
     if window_low > n:
-        return GaussianNormwisePlan(
-            feasible=False, n_samples=None, required=required,
-            window_low=window_low, window_high=n, violation="empty_window",
-        )
-    if planned > n:
-        return GaussianNormwisePlan(
-            feasible=False, n_samples=None, required=required,
-            window_low=window_low, window_high=n, violation="exceeds_dimension",
-        )
-    if planned < window_low:
-        return GaussianNormwisePlan(
-            feasible=False, n_samples=None, required=required,
-            window_low=window_low, window_high=n, violation="below_window",
-        )
+        violation = "empty_window"
+    elif planned > n:
+        violation = "exceeds_dimension"
+    elif planned < window_low:
+        violation = "below_window"
     return GaussianNormwisePlan(
-        feasible=True, n_samples=planned, required=required,
-        window_low=window_low, window_high=n,
+        feasible=violation is None, n_samples=planned if violation is None else None,
+        required=required, window_low=window_low, window_high=n, violation=violation,
     )
 
 
@@ -335,10 +347,7 @@ def component_tail_bound(
     normalized_gaussian:  sqrt(2 off2sq / (pi N)) / t * (1 + t^2/off2sq)^(-(N-1)/2)
     """
     _check_method(method)
-    if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
-    if t <= 0.0:
-        raise ValueError("t must be positive")
+    _check_args(n_samples=n_samples, t=t)
     if method == "rademacher":
         if cc.off2sq == 0.0:
             return 0.0
@@ -363,7 +372,7 @@ def plan_samples_component(
     normalized_gaussian:  N >= 1 + 2 ln(sqrt(2/pi) / (delta eps psi)) / ln(1 + eps^2 psi^2)
     """
     _check_method(method)
-    _check_eps_delta(eps, delta)
+    _check_args(eps=eps, delta=delta)
     if cc.a_ii == 0.0:
         raise ValueError(
             "componentwise relative targets require a nonzero diagonal entry"
@@ -440,8 +449,8 @@ def dgsm_constants(cdiag: np.ndarray, beta: float) -> DgsmConstants:
 
 def linear_model_constants(h: np.ndarray) -> DgsmConstants:
     """Constants of the linear model f(x) = h^T x on uniform [-1, 1]^n."""
-    h = np.asarray(h, dtype=np.float64).ravel()
-    return dgsm_constants(h * h, float(np.max(np.abs(h))))
+    oracle = LinearGradientOracle(h)
+    return dgsm_constants(oracle.second_moment_diag(), oracle.beta)
 
 
 def quadratic_model_constants(factor: np.ndarray) -> DgsmConstants:
@@ -450,28 +459,14 @@ def quadratic_model_constants(factor: np.ndarray) -> DgsmConstants:
     ``factor`` is S as a square matrix or a diagonal vector; the metric is
     diag(S^2)/3 and the gradient bound is the infinity norm of S.
     """
-    factor = np.asarray(factor, dtype=np.float64)
-    if factor.ndim == 1:
-        m_diag = factor * factor
-        beta = float(np.max(np.abs(factor)))
-    elif factor.ndim == 2 and factor.shape[0] == factor.shape[1]:
-        m_diag = np.einsum("ij,ji->i", factor, factor)
-        beta = float(np.max(np.abs(factor).sum(axis=1)))
-    else:
-        raise ValueError("factor must be a square matrix or a diagonal vector")
-    return dgsm_constants(m_diag / 3.0, beta)
+    oracle = QuadraticGradientOracle(factor)
+    return dgsm_constants(oracle.second_moment_diag(), oracle.beta)
 
 
 def dgsm_tail_bound(dc: DgsmConstants, n_samples: int, t: float, clamp: bool = True) -> float:
     """P[normwise metric error >= t] <= 8 d exp(-N t^2 / (2 (s1 + s2 t / 3)))."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
-    if t <= 0.0:
-        raise ValueError("t must be positive")
-    raw = 8.0 * dc.d * math.exp(
-        -n_samples * t * t / (2.0 * (dc.s1 + dc.s2 * t / 3.0))
-    )
-    return min(1.0, raw) if clamp else raw
+    _check_args(n_samples=n_samples, t=t)
+    return _bernstein_tail(dc.d, dc.s1, dc.s2, n_samples, t, clamp)
 
 
 def plan_samples_dgsm(dc: DgsmConstants, eps: float, delta: float) -> int:
@@ -480,22 +475,11 @@ def plan_samples_dgsm(dc: DgsmConstants, eps: float, delta: float) -> int:
     N >= (s2 / (3 eps^2)) (2 eps + 6 s1 / (cmax s2)) ln(8 d / delta), the
     relative target being t = eps * cmax.
     """
-    _check_eps_delta(eps, delta)
-    value = (
-        dc.s2
-        / (3.0 * eps * eps)
-        * (2.0 * eps + 6.0 * dc.s1 / (dc.cmax * dc.s2))
-        * math.log(8.0 * dc.d / delta)
-    )
-    return _ceil_samples(value)
+    _check_args(eps=eps, delta=delta)
+    return _bernstein_samples(dc.d, dc.s2, dc.s3, eps, delta)
 
 
 def epsilon_for_samples_dgsm(dc: DgsmConstants, n_samples: int, delta: float) -> float:
     """eps = sqrt((s2 / 3N) (2 + 6 s3) ln(8 d / delta)), the bound-curve formula."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
-    if not (0.0 < delta < 1.0):
-        raise ValueError("delta must lie in (0, 1)")
-    return math.sqrt(
-        dc.s2 / (3.0 * n_samples) * (2.0 + 6.0 * dc.s3) * math.log(8.0 * dc.d / delta)
-    )
+    _check_args(n_samples=n_samples, delta=delta)
+    return _bernstein_epsilon(dc.d, dc.s2, dc.s3, n_samples, delta)

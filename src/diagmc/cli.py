@@ -13,16 +13,13 @@ directory for generated CSV files.
 """
 
 import argparse
-import math
 import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import bounds as bounds_mod
-from .estimators import estimate_diagonal, estimate_diagonal_normalized
 from .harness import (
+    _canonical_name,
     parse_estimator_spec,
     run_experiment,
     standard_experiment_configs,
@@ -34,7 +31,6 @@ from .operators import (
     UnsupportedOperationError,
     make_test_matrix,
 )
-from .probes import gaussian, rademacher, sparse_rademacher
 
 __all__ = ["main"]
 
@@ -50,6 +46,11 @@ class UsageError(Exception):
 
 class DataError(Exception):
     pass
+
+
+# --dist names a planner here, not an estimator
+_GAUSSIAN_NORMWISE = "gaussian_normwise"
+_NORMWISE_NAMES = (*bounds_mod.NORMWISE_METHODS, _GAUSSIAN_NORMWISE)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -90,6 +91,18 @@ def _load_operator(args):
     raise UsageError("provide --test-matrix or --matrix-file")
 
 
+def _parse_dist(text: str, accepted: tuple, what: str):
+    """The estimator named by ``--dist``; ``accepted`` lists the names ``what`` takes."""
+    try:
+        spec = parse_estimator_spec(text)
+    except ValueError as exc:
+        raise UsageError(f"--dist {text!r}: {exc}") from None
+    if spec.method not in accepted:
+        names = ("sparse:S" if m == "sparse" else m.replace("_", "-") for m in accepted)
+        raise UsageError(f"{what} supports --dist {', '.join(names)}; got {text!r}")
+    return spec
+
+
 def _default_out(name: str) -> Path:
     base = os.environ.get("DIAGMC_OUTPUT_DIR", ".")
     return Path(base) / name
@@ -97,20 +110,13 @@ def _default_out(name: str) -> Path:
 
 def _cmd_estimate(args) -> int:
     op = _load_operator(args)
-    spec = parse_estimator_spec(args.dist)
+    spec = _parse_dist(
+        args.dist, ("rademacher", "sparse", "gaussian", "normalized_gaussian"), "estimate"
+    )
     if args.samples < 1:
         raise UsageError("--samples must be at least 1")
     try:
-        if spec.method == "normalized_gaussian":
-            est = estimate_diagonal_normalized(op, args.samples, args.seed)
-        elif spec.method == "sparse":
-            est = estimate_diagonal(op, sparse_rademacher(spec.s), args.samples, args.seed)
-        elif spec.method == "gaussian":
-            est = estimate_diagonal(op, gaussian(), args.samples, args.seed)
-        elif spec.method == "rademacher":
-            est = estimate_diagonal(op, rademacher(), args.samples, args.seed)
-        else:
-            raise UsageError(f"estimator {spec.label} is not available here")
+        est = spec.estimate(op, args.samples, args.seed)
     except ValueError as exc:
         raise DataError(str(exc)) from None
     values = est.value
@@ -155,83 +161,64 @@ def _print_component(cc) -> None:
     print(f"Psi = {'undefined (diagonal row)' if cc.psi is None else format(cc.psi, '.17g')}")
 
 
-def _dense_or_refuse(op):
-    try:
-        return op.to_dense()
-    except UnsupportedOperationError as exc:
-        raise DataError(
-            f"bound constants need explicit entries: {exc}"
-        ) from None
+def _bounds_command(body):
+    """A subcommand ``body(op, args)`` on the loaded operator; bound failures exit 2."""
+
+    def command(args) -> int:
+        op = _load_operator(args)
+        try:
+            return body(op, args)
+        except UnsupportedOperationError as exc:
+            raise DataError(f"bound constants need explicit entries: {exc}") from None
+        except (ValueError, IndexError) as exc:
+            raise DataError(str(exc)) from None
+
+    return command
 
 
-def _cmd_plan(args) -> int:
-    op = _load_operator(args)
-    dense = _dense_or_refuse(op)
-    name = args.dist.strip().lower().replace("-", "_")
-    try:
-        if args.component is not None:
-            if name not in ("rademacher", "gaussian", "normalized_gaussian"):
-                raise UsageError(
-                    "componentwise planning supports rademacher, gaussian or "
-                    "normalized-gaussian"
-                )
-            cc = bounds_mod.component_constants(dense, args.component)
-            n_planned = bounds_mod.plan_samples_component(cc, name, args.eps, args.delta)
-            print(f"N = {n_planned}")
-            _print_component(cc)
-            return EXIT_OK
-        if name == "gaussian_normwise":
-            plan = bounds_mod.plan_samples_gaussian_normwise(dense, args.eps, args.delta)
-            print(f"required (pre-window) = {plan.required:.17g}")
-            print(f"window = [{plan.window_low:.17g}, {plan.window_high}]")
-            if not plan.feasible:
-                print(f"infeasible: {plan.violation}")
-                return EXIT_INFEASIBLE
-            print(f"N = {plan.n_samples}")
-            return EXIT_OK
-        if name == "rademacher":
-            s = 1.0
-        elif name.startswith("sparse"):
-            s = parse_estimator_spec(name).s
-        else:
-            raise UsageError(
-                "normwise planning supports rademacher, sparse:S or gaussian-normwise"
-            )
-        nc = bounds_mod.normwise_constants(dense, s=s)
-        n_planned = bounds_mod.plan_samples_normwise(nc, args.eps, args.delta)
+@_bounds_command
+def _cmd_plan(op, args) -> int:
+    if args.component is not None:
+        spec = _parse_dist(args.dist, bounds_mod.COMPONENT_METHODS, "componentwise planning")
+        cc = bounds_mod.component_constants(op, args.component)
+        n_planned = bounds_mod.plan_samples_component(cc, spec.method, args.eps, args.delta)
         print(f"N = {n_planned}")
-        _print_normwise(nc)
+        _print_component(cc)
         return EXIT_OK
-    except (ValueError, IndexError) as exc:
-        raise DataError(str(exc)) from None
+    if _canonical_name(args.dist) == _GAUSSIAN_NORMWISE:
+        plan = bounds_mod.plan_samples_gaussian_normwise(op, args.eps, args.delta)
+        print(f"required (pre-window) = {plan.required:.17g}")
+        print(f"window = [{plan.window_low:.17g}, {plan.window_high}]")
+        if not plan.feasible:
+            print(f"infeasible: {plan.violation}")
+            return EXIT_INFEASIBLE
+        print(f"N = {plan.n_samples}")
+        return EXIT_OK
+    spec = _parse_dist(args.dist, _NORMWISE_NAMES, "normwise planning")
+    nc = bounds_mod.normwise_constants(op, s=spec.sparsity)
+    n_planned = bounds_mod.plan_samples_normwise(nc, args.eps, args.delta)
+    print(f"N = {n_planned}")
+    _print_normwise(nc)
+    return EXIT_OK
 
 
-def _cmd_bounds(args) -> int:
-    op = _load_operator(args)
-    dense = _dense_or_refuse(op)
-    name = args.dist.strip().lower().replace("-", "_")
-    try:
-        if args.component is not None:
-            cc = bounds_mod.component_constants(dense, args.component)
-            _print_component(cc)
-            return EXIT_OK
-        if name == "gaussian_normwise":
-            norm_inf = float(np.max(np.sum(np.abs(dense), axis=1)))
-            diag_inf = float(np.max(np.abs(np.diag(dense))))
-            n = dense.shape[0]
-            print(f"norm_ratio = {norm_inf / diag_inf:.17g}")
-            print(f"window = [{8.0 * math.e * math.log(n):.17g}, {n}]")
-            return EXIT_OK
-        s = 1.0
-        if name.startswith("sparse"):
-            s = parse_estimator_spec(name).s
-        nc = bounds_mod.normwise_constants(dense, s=s)
-        if nc.is_diagonal:
-            print("matrix is diagonal: a single Rademacher sample is exact")
-        _print_normwise(nc)
+@_bounds_command
+def _cmd_bounds(op, args) -> int:
+    if args.component is not None:
+        _parse_dist(args.dist, bounds_mod.COMPONENT_METHODS, "componentwise bounds")
+        _print_component(bounds_mod.component_constants(op, args.component))
         return EXIT_OK
-    except (ValueError, IndexError) as exc:
-        raise DataError(str(exc)) from None
+    if _canonical_name(args.dist) == _GAUSSIAN_NORMWISE:
+        ratio, window_low, n = bounds_mod.gaussian_normwise_window(op)
+        print(f"norm_ratio = {ratio:.17g}")
+        print(f"window = [{window_low:.17g}, {n}]")
+        return EXIT_OK
+    spec = _parse_dist(args.dist, _NORMWISE_NAMES, "normwise bounds")
+    nc = bounds_mod.normwise_constants(op, s=spec.sparsity)
+    if nc.is_diagonal:
+        print("matrix is diagonal: a single Rademacher sample is exact")
+    _print_normwise(nc)
+    return EXIT_OK
 
 
 def _cmd_experiment(args) -> int:
@@ -300,7 +287,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bounds = sub.add_parser("bounds", help="print bound constants")
     _add_matrix_args(p_bounds)
-    p_bounds.add_argument("--dist", default="rademacher")
+    p_bounds.add_argument("--dist", default="rademacher",
+                          help="rademacher | sparse:S | gaussian-normwise, or a "
+                               "componentwise method with --component")
     p_bounds.add_argument("--component", type=int)
     p_bounds.set_defaults(func=_cmd_bounds)
 

@@ -20,7 +20,7 @@ normalized estimates must not be averaged across runs.
 """
 
 from abc import ABC, abstractmethod
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -196,21 +196,35 @@ def _resolve_state(seed: Union[int, RngState]) -> RngState:
 
 
 def _run_estimate(
-    op: SymmetricOperator,
-    dist: ProbeDistribution,
+    dim: int,
+    draw: Callable[[RngState, int], tuple[np.ndarray, np.ndarray, RngState]],
     n_samples: int,
-    state: RngState,
+    seed: Union[int, RngState],
     mode: str,
     block_size: int,
 ) -> DiagonalEstimate:
-    est = DiagonalEstimate(op.dim, mode)
+    # The block loop of every estimator: ``draw(state, count)`` returns a
+    # block of ``count`` samples as two (dim, count) factors whose product is
+    # summed into the estimate, plus the advanced stream state.
+    if n_samples < 1:
+        raise ValueError("n_samples must be at least 1")
+    state = _resolve_state(seed)
+    est = DiagonalEstimate(dim, mode)
     remaining = n_samples
     while remaining > 0:
         count = min(block_size, remaining)
-        probes, state = sample_probe_block(dist, op.dim, state, count)
-        est.update_block(probes, op.apply(probes))
+        left, right, state = draw(state, count)
+        est.update_block(left, right)
         remaining -= count
     return est
+
+
+def _probe_source(op: SymmetricOperator, dist: ProbeDistribution):
+    def draw(state, count):
+        probes, state = sample_probe_block(dist, op.dim, state, count)
+        return probes, op.apply(probes), state
+
+    return draw
 
 
 def estimate_diagonal(
@@ -226,9 +240,9 @@ def estimate_diagonal(
     any of the probe families.  With Rademacher probes a diagonal matrix is
     recovered exactly from a single sample.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
-    return _run_estimate(op, dist, n_samples, _resolve_state(seed), UNNORMALIZED, block_size)
+    return _run_estimate(
+        op.dim, _probe_source(op, dist), n_samples, seed, UNNORMALIZED, block_size
+    )
 
 
 def estimate_diagonal_normalized(
@@ -243,9 +257,9 @@ def estimate_diagonal_normalized(
     and Rademacher probes would make the denominator identically N.  Exact for
     diagonal matrices already at N = 1.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
-    return _run_estimate(op, gaussian(), n_samples, _resolve_state(seed), NORMALIZED, block_size)
+    return _run_estimate(
+        op.dim, _probe_source(op, gaussian()), n_samples, seed, NORMALIZED, block_size
+    )
 
 
 class GradientOracle(ABC):
@@ -293,6 +307,10 @@ class LinearGradientOracle(GradientOracle):
         super().__init__(h.shape[0], beta=float(np.max(np.abs(h))))
         self.h = h
 
+    def second_moment_diag(self) -> np.ndarray:
+        """Exact sensitivity metric diag(C) = h o h."""
+        return self.h * self.h
+
     def _sample_block(self, state, count):
         # the gradient ignores x; advance the counter to keep addressing uniform
         return np.tile(self.h[:, None], (1, count)), state.advance(count)
@@ -308,21 +326,18 @@ class QuadraticGradientOracle(GradientOracle):
     def __init__(self, factor: np.ndarray):
         factor = np.asarray(factor, dtype=np.float64)
         if factor.ndim == 1:
-            dim = factor.shape[0]
-            beta = float(np.max(np.abs(factor)))
+            square, row_sums = factor * factor, np.abs(factor)
         elif factor.ndim == 2 and factor.shape[0] == factor.shape[1]:
-            dim = factor.shape[0]
-            beta = float(np.max(np.abs(factor).sum(axis=1)))
+            square, row_sums = np.einsum("ij,ji->i", factor, factor), np.abs(factor).sum(axis=1)
         else:
             raise ValueError("factor must be a square matrix or a diagonal vector")
-        super().__init__(dim, beta=beta)
+        super().__init__(factor.shape[0], beta=float(np.max(row_sums)))
         self.factor = factor
+        self._metric = square / 3.0
 
     def second_moment_diag(self) -> np.ndarray:
         """Exact sensitivity metric diag(C) = diag(S^2) / 3."""
-        if self.factor.ndim == 1:
-            return self.factor * self.factor / 3.0
-        return np.einsum("ij,ji->i", self.factor, self.factor) / 3.0
+        return self._metric.copy()
 
     def _sample_block(self, state, count):
         x, new_state = sample_uniform_block(self.dim, state, count)
@@ -342,17 +357,12 @@ def estimate_dgsm(
     Averages ``(grad f(x_k))^2`` elementwise over ``n_samples`` draws;
     every entry of the estimate is nonnegative.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
-    state = _resolve_state(seed)
-    est = DiagonalEstimate(oracle.dim, UNNORMALIZED)
-    remaining = n_samples
-    while remaining > 0:
-        count = min(block_size, remaining)
+
+    def draw(state, count):
         grads, state = oracle.sample_gradient_block(state, count)
-        est.update_block(grads, grads)
-        remaining -= count
-    return est
+        return grads, grads, state
+
+    return _run_estimate(oracle.dim, draw, n_samples, seed, UNNORMALIZED, block_size)
 
 
 def _estimate_values(est) -> np.ndarray:

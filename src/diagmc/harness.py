@@ -26,14 +26,19 @@ import numpy as np
 
 from . import bounds
 from .estimators import (
+    NORMALIZED,
+    UNNORMALIZED,
+    DiagonalEstimate,
+    QuadraticGradientOracle,
+    _resolve_state,
     estimate_dgsm,
     estimate_diagonal,
     estimate_diagonal_normalized,
     normwise_relative_error,
-    QuadraticGradientOracle,
 )
 from .operators import SymmetricOperator, make_test_matrix, TEST_MATRIX_KINDS
 from .probes import (
+    ProbeDistribution,
     RngState,
     derive_seed,
     gaussian,
@@ -71,7 +76,11 @@ CSV_COLUMNS = (
 
 @dataclass(frozen=True)
 class EstimatorSpec:
-    """Which estimator a cell runs: a probe family or the normalized ratio."""
+    """Which estimator a cell runs: a probe family, the normalized ratio or DGSM.
+
+    Maps an estimator name to what it samples (a probe law, or gradients for
+    ``dgsm``) and to how its samples are averaged.
+    """
 
     method: str  # rademacher | sparse | gaussian | normalized_gaussian | dgsm
     s: Optional[float] = None
@@ -79,7 +88,10 @@ class EstimatorSpec:
     def __post_init__(self):
         valid = ("rademacher", "sparse", "gaussian", "normalized_gaussian", "dgsm")
         if self.method not in valid:
-            raise ValueError(f"unknown estimator {self.method!r}")
+            raise ValueError(
+                f"unknown estimator {self.method!r}; expected rademacher, sparse:S, "
+                "gaussian, normalized-gaussian or dgsm"
+            )
         if self.method == "sparse" and self.s is None:
             raise ValueError("sparse estimator needs a sparsity parameter")
 
@@ -95,28 +107,51 @@ class EstimatorSpec:
             return f"sparse:{self.s:g}"
         return self.method
 
+    @property
+    def probe_distribution(self) -> ProbeDistribution:
+        """Law of the probe entries; the normalized ratio draws Gaussians."""
+        if self.method == "rademacher":
+            return rademacher()
+        if self.method == "sparse":
+            return sparse_rademacher(self.s)
+        if self.method in ("gaussian", "normalized_gaussian"):
+            return gaussian()
+        raise ValueError(f"estimator {self.method!r} is not probe-based")
+
+    @property
+    def mode(self) -> str:
+        return NORMALIZED if self.method == "normalized_gaussian" else UNNORMALIZED
+
+    def estimate(self, source, n_samples: int, seed: Union[int, RngState]) -> DiagonalEstimate:
+        """Run this estimator on an operator (or, for ``dgsm``, a gradient oracle)."""
+        if self.method == "dgsm":
+            return estimate_dgsm(source, n_samples, seed)
+        if self.mode == NORMALIZED:
+            return estimate_diagonal_normalized(source, n_samples, seed)
+        return estimate_diagonal(source, self.probe_distribution, n_samples, seed)
+
+
+def _canonical_name(text: str) -> str:
+    return text.strip().lower().replace("-", "_")
+
 
 def parse_estimator_spec(text: str) -> EstimatorSpec:
-    """Parse CLI-style names: rademacher, sparse:S, gaussian, normalized-gaussian."""
-    text = text.strip().lower().replace("-", "_")
-    if text.startswith("sparse"):
-        parts = text.split(":")
-        if len(parts) != 2:
-            raise ValueError("sparse estimator must be written as sparse:S")
-        return EstimatorSpec("sparse", float(parts[1]))
-    return EstimatorSpec(text)
+    """Parse CLI-style names: rademacher, sparse:S, gaussian, normalized-gaussian, dgsm.
 
-
-def _estimate_cell(op: SymmetricOperator, spec: EstimatorSpec, n_samples: int, seed: int):
-    if spec.method == "rademacher":
-        return estimate_diagonal(op, rademacher(), n_samples, seed)
-    if spec.method == "sparse":
-        return estimate_diagonal(op, sparse_rademacher(spec.s), n_samples, seed)
-    if spec.method == "gaussian":
-        return estimate_diagonal(op, gaussian(), n_samples, seed)
-    if spec.method == "normalized_gaussian":
-        return estimate_diagonal_normalized(op, n_samples, seed)
-    raise ValueError(f"estimator {spec.method!r} is not probe-based")
+    Case, surrounding blanks and ``-`` versus ``_`` in the name do not matter.
+    """
+    name, colon, arg = text.partition(":")
+    name = _canonical_name(name)
+    if name != "sparse":
+        spec = EstimatorSpec(name)
+        if colon:
+            raise ValueError(f"estimator {name!r} takes no parameter")
+        return spec
+    try:
+        s = float(arg)
+    except ValueError:
+        raise ValueError("sparse estimator must be written as sparse:S with a number S") from None
+    return EstimatorSpec("sparse", s)
 
 
 @dataclass(frozen=True)
@@ -192,14 +227,32 @@ def dgsm_experiment_factor(n: int) -> np.ndarray:
     return np.exp(-10.0 * j / n)
 
 
-def _run_probe_experiment(config: ExperimentConfig):
-    records, summaries = [], []
-    for ti, theta in enumerate(config.thetas):
+def _experiment_targets(config: ExperimentConfig):
+    """Yield (theta, source, exact diagonal, bound curve or None) per theta.
+
+    The DGSM experiment has one target, a gradient oracle, at theta = nan.
+    """
+    if config.matrix == "dgsm_quadratic":
+        factor = dgsm_experiment_factor(config.n)
+        oracle = QuadraticGradientOracle(factor)
+        curve = None
+        if config.delta is not None:
+            dc = bounds.quadratic_model_constants(factor)
+            curve = lambda n: bounds.epsilon_for_samples_dgsm(dc, n, config.delta)
+        yield math.nan, oracle, oracle.second_moment_diag(), curve
+        return
+    for theta in config.thetas:
         op = make_test_matrix(config.matrix, config.n, theta)
-        exact = op.exact_diag()
-        nc = None
+        curve = None
         if config.experiment == 1 and config.delta is not None:
             nc = bounds.normwise_constants(op, s=1.0)
+            curve = lambda n, nc=nc: bounds.epsilon_for_samples_normwise(nc, n, config.delta)
+        yield theta, op, op.exact_diag(), curve
+
+
+def _run_cells(config: ExperimentConfig):
+    records, summaries = [], []
+    for ti, (theta, source, exact, curve) in enumerate(_experiment_targets(config)):
         for di, spec in enumerate(config.distributions):
             for ni, n_samples in enumerate(config.n_grid):
                 nres = []
@@ -208,7 +261,7 @@ def _run_probe_experiment(config: ExperimentConfig):
                         config.seed, config.experiment, ti, di, ni, r
                     )
                     start = time.perf_counter()
-                    est = _estimate_cell(op, spec, n_samples, cell_seed)
+                    est = spec.estimate(source, n_samples, cell_seed)
                     nre = normwise_relative_error(est, exact)
                     elapsed = time.perf_counter() - start
                     nres.append(nre)
@@ -218,11 +271,6 @@ def _run_probe_experiment(config: ExperimentConfig):
                         n_samples=n_samples, replicate=r, seed=cell_seed,
                         nre=nre, wall_time=elapsed,
                     ))
-                bound_eps = None
-                if nc is not None:
-                    bound_eps = bounds.epsilon_for_samples_normwise(
-                        nc, n_samples, config.delta
-                    )
                 summaries.append(CellSummary(
                     experiment=config.experiment, matrix=config.matrix,
                     theta=theta, dist=spec.label, s=spec.sparsity,
@@ -230,42 +278,8 @@ def _run_probe_experiment(config: ExperimentConfig):
                     mean_nre=float(np.mean(nres)),
                     q025=quantile_band(nres, 0.025),
                     q975=quantile_band(nres, 0.975),
-                    bound_eps=bound_eps,
+                    bound_eps=curve(n_samples) if curve is not None else None,
                 ))
-    return records, summaries
-
-
-def _run_dgsm_experiment(config: ExperimentConfig):
-    records, summaries = [], []
-    factor = dgsm_experiment_factor(config.n)
-    oracle = QuadraticGradientOracle(factor)
-    exact = oracle.second_moment_diag()
-    dc = bounds.quadratic_model_constants(factor)
-    for ni, n_samples in enumerate(config.n_grid):
-        nres = []
-        for r in range(config.replicates):
-            cell_seed = derive_seed(config.seed, config.experiment, 0, 0, ni, r)
-            start = time.perf_counter()
-            est = estimate_dgsm(oracle, n_samples, cell_seed)
-            nre = normwise_relative_error(est, exact)
-            elapsed = time.perf_counter() - start
-            nres.append(nre)
-            records.append(RunRecord(
-                experiment=config.experiment, matrix=config.matrix,
-                theta=math.nan, dist="dgsm", s=None, n_samples=n_samples,
-                replicate=r, seed=cell_seed, nre=nre, wall_time=elapsed,
-            ))
-        bound_eps = None
-        if config.delta is not None:
-            bound_eps = bounds.epsilon_for_samples_dgsm(dc, n_samples, config.delta)
-        summaries.append(CellSummary(
-            experiment=config.experiment, matrix=config.matrix, theta=math.nan,
-            dist="dgsm", s=None, n_samples=n_samples,
-            mean_nre=float(np.mean(nres)),
-            q025=quantile_band(nres, 0.025),
-            q975=quantile_band(nres, 0.975),
-            bound_eps=bound_eps,
-        ))
     return records, summaries
 
 
@@ -276,10 +290,7 @@ def run_experiment(config: ExperimentConfig):
     strongly skewed small-replicate cells) are flagged with a warning, never
     treated as fatal.
     """
-    if config.matrix == "dgsm_quadratic":
-        records, summaries = _run_dgsm_experiment(config)
-    else:
-        records, summaries = _run_probe_experiment(config)
+    records, summaries = _run_cells(config)
     skewed = [s for s in summaries if not (s.q025 <= s.mean_nre <= s.q975)]
     if skewed:
         warnings.warn(
@@ -315,31 +326,15 @@ def standard_experiment_configs(
                 seed=seed, delta=delta if delta is not None else 1e-16,
             ))
         return configs
-    if experiment == 2:
-        dists = (
-            EstimatorSpec("rademacher"),
-            EstimatorSpec("gaussian"),
-            EstimatorSpec("sparse", 3.0),
-            EstimatorSpec("normalized_gaussian"),
-        )
+    if experiment in (2, 3):
+        names = {
+            2: ("rademacher", "gaussian", "sparse:3", "normalized-gaussian"),
+            3: ("rademacher", "sparse:3", "sparse:10", "sparse:50"),
+        }[experiment]
         return [ExperimentConfig(
-            experiment=2, matrix="rank1", n=n,
+            experiment=experiment, matrix="rank1", n=n,
             thetas=tuple(thetas) if thetas is not None else (0.01,),
-            distributions=dists, n_grid=grid,
-            replicates=replicates if replicates is not None else 100,
-            seed=seed, delta=delta,
-        )]
-    if experiment == 3:
-        dists = (
-            EstimatorSpec("rademacher"),
-            EstimatorSpec("sparse", 3.0),
-            EstimatorSpec("sparse", 10.0),
-            EstimatorSpec("sparse", 50.0),
-        )
-        return [ExperimentConfig(
-            experiment=3, matrix="rank1", n=n,
-            thetas=tuple(thetas) if thetas is not None else (0.01,),
-            distributions=dists, n_grid=grid,
+            distributions=tuple(parse_estimator_spec(name) for name in names), n_grid=grid,
             replicates=replicates if replicates is not None else 100,
             seed=seed, delta=delta,
         )]
@@ -464,16 +459,9 @@ def replicate_component_errors(
         raise ValueError("n_samples and replicates must be positive")
     row = _component_row(op, index)
     a_ii = float(row[index])
-    state = seed if isinstance(seed, RngState) else RngState(int(seed))
-    if spec.method == "rademacher":
-        dist = rademacher()
-    elif spec.method == "sparse":
-        dist = sparse_rademacher(spec.s)
-    elif spec.method in ("gaussian", "normalized_gaussian"):
-        dist = gaussian()
-    else:
-        raise ValueError(f"estimator {spec.method!r} is not probe-based")
-    normalized = spec.method == "normalized_gaussian"
+    state = _resolve_state(seed)
+    dist = spec.probe_distribution
+    normalized = spec.mode == NORMALIZED
 
     errors = np.empty(replicates)
     per_chunk = max(1, chunk // n_samples)

@@ -49,24 +49,35 @@ def _data_lines(lines: list[str], start: int):
         yield lineno + 1, stripped
 
 
-def _check_general_symmetry(m: np.ndarray, entry_lines: dict) -> None:
+def _check_general_symmetry(m: np.ndarray, line_of) -> None:
     scale = float(np.max(np.abs(m))) if m.size else 0.0
     gap = np.abs(m - m.T)
     bad = np.argwhere(gap > _SYM_TOL * max(scale, 1e-300))
     if bad.size:
         i, j = (int(v) for v in bad[0])
-        line = entry_lines.get((i, j)) or entry_lines.get((j, i))
         raise MatrixMarketError(
             f"asymmetric entries: A[{i + 1},{j + 1}]={m[i, j]:g} vs "
             f"A[{j + 1},{i + 1}]={m[j, i]:g}",
-            line,
+            line_of(i, j),
         )
+
+
+def _dense_operator(m: np.ndarray, symmetry: str, line_of) -> DenseSymmetric:
+    # ``m`` holds the file's entries: the lower triangle of a symmetric file,
+    # or every entry of a general one, which must be symmetric already.
+    # ``line_of(i, j)`` names the line an asymmetric entry came from.
+    if symmetry == "symmetric":
+        m += np.tril(m, -1).T
+    else:
+        _check_general_symmetry(m, line_of)
+        m = 0.5 * (m + m.T)
+    return DenseSymmetric._wrap(m)
 
 
 def load_matrix_market(path) -> SymmetricOperator:
     """Parse a Matrix Market file into a symmetric operator.
 
-    Returns a :class:`DenseSymmetric` (packed lower triangle) for
+    Returns a :class:`DenseSymmetric` (one full symmetric array) for
     n <= 10^4 and a :class:`CooSymmetric` above that.
     """
     with open(path, "r", encoding="utf-8") as fh:
@@ -136,13 +147,9 @@ def load_matrix_market(path) -> SymmetricOperator:
             return CooSymmetric(n, rows, cols, vals)
         m = np.zeros((n, n))
         np.add.at(m, (rows, cols), vals)
-        if symmetry == "symmetric":
-            lower = np.tril(m, -1)
-            m = m + lower.T
-        else:
-            _check_general_symmetry(m, entry_lines)
-            m = 0.5 * (m + m.T)
-        return DenseSymmetric(m[np.tril_indices(n)], n)
+        return _dense_operator(
+            m, symmetry, lambda i, j: entry_lines.get((i, j)) or entry_lines.get((j, i))
+        )
 
     # array format: column-major dense values, lower triangle only when symmetric
     values, value_lines = [], []
@@ -161,20 +168,10 @@ def load_matrix_market(path) -> SymmetricOperator:
         raise MatrixMarketError(
             f"expected {expected_count} array values, found {len(values)}", len(lines)
         )
-    m = np.zeros((n, n))
     if symmetry == "symmetric":
-        pos = 0
-        for j in range(n):
-            count = n - j
-            m[j:, j] = values[pos : pos + count]
-            pos += count
-        lower = np.tril(m, -1)
-        m = m + lower.T
+        # column-major lower triangle = row-major upper triangle of m.T
+        m = np.zeros((n, n))
+        m.T[np.triu_indices(n)] = values
     else:
         m = np.asarray(values).reshape((n, n), order="F")
-        entry_lines = {
-            (idx % n, idx // n): value_lines[idx] for idx in range(len(values))
-        }
-        _check_general_symmetry(m, entry_lines)
-        m = 0.5 * (m + m.T)
-    return DenseSymmetric(m[np.tril_indices(n)], n)
+    return _dense_operator(m, symmetry, lambda i, j: value_lines[j * n + i])

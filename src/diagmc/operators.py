@@ -111,11 +111,11 @@ class MatrixFreeOperator(SymmetricOperator):
 
 
 class DenseSymmetric(SymmetricOperator):
-    """Symmetric matrix stored as its packed lower triangle.
+    """Symmetric matrix stored as one full, exactly symmetric n x n array.
 
-    The packed layout is row-major over rows ``i``, columns ``j <= i``; it
-    holds exactly n(n+1)/2 values, and the reconstructed matrix equals its
-    transpose by construction.
+    Build it with :meth:`from_dense` from a full array, or directly from a
+    packed lower triangle (row-major over rows ``i``, columns ``j <= i``,
+    n(n+1)/2 values), which is mirrored into the full array.
     """
 
     def __init__(self, packed: np.ndarray, dim: int):
@@ -127,8 +127,19 @@ class DenseSymmetric(SymmetricOperator):
                 f"packed lower triangle of a {dim}x{dim} matrix needs "
                 f"{expected} values, got {packed.shape[0]}"
             )
-        self._packed = packed
-        self._full = None
+        m = np.zeros((dim, dim))
+        lower = np.tril_indices(dim)
+        m[lower] = packed
+        m.T[lower] = packed
+        self._matrix = m
+
+    @classmethod
+    def _wrap(cls, matrix: np.ndarray) -> "DenseSymmetric":
+        # adopt an exactly symmetric float64 array without copying it
+        op = cls.__new__(cls)
+        SymmetricOperator.__init__(op, matrix.shape[0])
+        op._matrix = matrix
+        return op
 
     @classmethod
     def from_dense(cls, matrix: np.ndarray, tol: float = 1e-12) -> "DenseSymmetric":
@@ -143,29 +154,16 @@ class DenseSymmetric(SymmetricOperator):
                 f"matrix is asymmetric: max |A - A^T| = {gap:.3e} exceeds "
                 f"{tol:g} * max|A|"
             )
-        n = m.shape[0]
-        sym = 0.5 * (m + m.T)
-        return cls(sym[np.tril_indices(n)], n)
-
-    def full(self) -> np.ndarray:
-        if self._full is None:
-            n = self._dim
-            m = np.zeros((n, n))
-            m[np.tril_indices(n)] = self._packed
-            m = m + m.T
-            m[np.diag_indices(n)] *= 0.5
-            self._full = m
-        return self._full
+        return cls._wrap(0.5 * (m + m.T))
 
     def to_dense(self) -> np.ndarray:
-        return self.full().copy()
+        return self._matrix.copy()
 
     def exact_diag(self) -> np.ndarray:
-        idx = np.arange(self._dim)
-        return self._packed[idx * (idx + 3) // 2].copy()
+        return np.diag(self._matrix).copy()
 
     def _matvec(self, mat):
-        return self.full() @ mat
+        return self._matrix @ mat
 
 
 class CooSymmetric(SymmetricOperator):

@@ -14,7 +14,7 @@ the order in which other probes were drawn.
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.random import Philox
@@ -184,19 +184,36 @@ def _to_uniform01(words: np.ndarray) -> np.ndarray:
     return (words >> np.uint64(11)).astype(np.float64) * _INV53
 
 
-def _gaussian_from_words(words: np.ndarray, count: int, n: int) -> np.ndarray:
+def _gaussian_from_words(words: np.ndarray, n: int) -> np.ndarray:
     # Box-Muller on consecutive word pairs; each pair yields two entries.
     pairs = (n + 1) // 2
-    w = words.reshape(count, -1)[:, : 2 * pairs]
+    w = words[:, : 2 * pairs]
     # u1 in (0, 1] so the log is finite
     u1 = ((w[:, 0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * _INV53
     u2 = _to_uniform01(w[:, 1::2])
     radius = np.sqrt(-2.0 * np.log(u1))
     angle = (2.0 * np.pi) * u2
-    z = np.empty((count, 2 * pairs))
+    z = np.empty((len(words), 2 * pairs))
     z[:, 0::2] = radius * np.cos(angle)
     z[:, 1::2] = radius * np.sin(angle)
     return z[:, :n]
+
+
+def _sample_block(
+    n: int, state: RngState, count: int, entries: Callable[[np.ndarray, int], np.ndarray]
+) -> tuple[np.ndarray, RngState]:
+    # The word window shared by every public sampler: vector j of the block
+    # is built by ``entries`` from the raw words of counter ``state.counter + j``
+    # (one row per vector), and is returned as column j.
+    if n < 1:
+        raise ValueError("vector length must be at least 1")
+    if count < 0:
+        raise ValueError("count must be nonnegative")
+    if count == 0:
+        return np.empty((n, 0)), state
+    w = _words_per_probe(n)
+    words = _raw_words(state.seed, state.counter * w, count * w).reshape(count, w)
+    return np.ascontiguousarray(entries(words, n).T), state.advance(count)
 
 
 def sample_probe_block(
@@ -207,25 +224,18 @@ def sample_probe_block(
     Column ``j`` is exactly the probe addressed by ``state.counter + j``; the
     block decomposition has no effect on the values drawn.
     """
-    if n < 1:
-        raise ValueError("probe length must be at least 1")
-    if count < 0:
-        raise ValueError("probe count must be nonnegative")
-    if count == 0:
-        return np.empty((n, 0)), state
-    w = _words_per_probe(n)
-    words = _raw_words(state.seed, state.counter * w, count * w)
-    if dist.kind == GAUSSIAN:
-        block = _gaussian_from_words(words, count, n)
-    else:
-        u = _to_uniform01(words.reshape(count, w)[:, :n])
+
+    def entries(words, n):
+        if dist.kind == GAUSSIAN:
+            return _gaussian_from_words(words, n)
+        u = _to_uniform01(words[:, :n])
         if dist.kind == RADEMACHER:
-            block = np.where(u < 0.5, -1.0, 1.0)
-        else:
-            lo = 1.0 / (2.0 * dist.s)
-            root = math.sqrt(dist.s)
-            block = np.where(u < lo, -root, np.where(u >= 1.0 - lo, root, 0.0))
-    return np.ascontiguousarray(block.T), state.advance(count)
+            return np.where(u < 0.5, -1.0, 1.0)
+        lo = 1.0 / (2.0 * dist.s)
+        root = math.sqrt(dist.s)
+        return np.where(u < lo, -root, np.where(u >= 1.0 - lo, root, 0.0))
+
+    return _sample_block(n, state, count, entries)
 
 
 def sample_probe(
@@ -244,12 +254,6 @@ def sample_uniform_block(
     Shares the counter discipline of :func:`sample_probe_block`; used for
     sampling gradient-evaluation points in the sensitivity-metric estimator.
     """
-    if n < 1:
-        raise ValueError("vector length must be at least 1")
-    if count == 0:
-        return np.empty((n, 0)), state
-    w = _words_per_probe(n)
-    words = _raw_words(state.seed, state.counter * w, count * w)
-    u = _to_uniform01(words.reshape(count, w)[:, :n])
-    block = low + (high - low) * u
-    return np.ascontiguousarray(block.T), state.advance(count)
+    return _sample_block(
+        n, state, count, lambda words, n: low + (high - low) * _to_uniform01(words[:, :n])
+    )

@@ -207,6 +207,21 @@ class TestNormwisePlanner:
         with pytest.raises(ValueError):
             bounds.plan_samples_normwise(nc, 0.1, 1.0)
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_non_finite_eps_rejected(self, eps):
+        op = make_test_matrix("tridiag", 10, 0.5)
+        nc = bounds.normwise_constants(op)
+        cc = bounds.component_constants(op, 3)
+        dc = bounds.linear_model_constants(np.array([1.0, 0.5]))
+        with pytest.raises(ValueError, match="finite"):
+            bounds.plan_samples_normwise(nc, eps, 0.1)
+        with pytest.raises(ValueError, match="finite"):
+            bounds.plan_samples_component(cc, "rademacher", eps, 0.1)
+        with pytest.raises(ValueError, match="finite"):
+            bounds.plan_samples_dgsm(dc, eps, 0.1)
+        with pytest.raises(ValueError, match="finite"):
+            bounds.plan_samples_gaussian_normwise(op, eps, 0.1)
+
     @pytest.mark.parametrize("kind", ["rank1", "decay", "tridiag"])
     def test_planner_tail_duality(self, kind):
         for theta in THETA_GRIDS[kind]:
@@ -218,6 +233,15 @@ class TestNormwisePlanner:
 
 
 class TestEpsilonInversion:
+    @pytest.mark.parametrize("delta", [math.nan, 0.0, 1.0])
+    def test_inverters_share_the_delta_check(self, delta):
+        nc = bounds.normwise_constants(make_test_matrix("tridiag", 10, 0.5))
+        dc = bounds.linear_model_constants(np.array([1.0, 0.5]))
+        for invert, constants in ((bounds.epsilon_for_samples_normwise, nc),
+                                  (bounds.epsilon_for_samples_dgsm, dc)):
+            with pytest.raises(ValueError, match=r"delta must lie in \(0, 1\)"):
+                invert(constants, 16, delta)
+
     def test_exact_inverse_square_root_scaling(self):
         nc = bounds.normwise_constants(make_test_matrix("rank1", 100, 0.05))
         for n in (16, 100, 1024):

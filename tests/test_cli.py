@@ -10,6 +10,23 @@ from diagmc.operators import make_test_matrix
 from diagmc.probes import rademacher
 
 
+# commands on tridiag:10:0.5 whose --dist must be refused with exit code 1
+_PLAN = ("plan", "--eps", "0.1", "--delta", "0.1")
+BAD_DIST_COMMANDS = [
+    ("estimate", "--samples", "4", "--dist", "sobol"),
+    ("estimate", "--samples", "4", "--dist", "sparse:abc"),
+    ("estimate", "--samples", "4", "--dist", "dgsm"),
+    (*_PLAN, "--dist", "sobol"),
+    (*_PLAN, "--dist", "sparse:abc"),
+    (*_PLAN, "--dist", "gaussian"),
+    (*_PLAN, "--dist", "sparse:3", "--component", "2"),
+    ("bounds", "--dist", "sobol"),
+    ("bounds", "--dist", "gaussian"),
+    ("bounds", "--dist", "normalized-gaussian"),
+    ("bounds", "--dist", "sobol", "--component", "3"),
+]
+
+
 def _run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -122,11 +139,23 @@ class TestPlan:
         assert "N = 48" in out  # (2*0.81) * 2 ln(40) / 0.25 = 47.8 -> 48
 
     def test_unknown_dist_usage_error(self, capsys):
-        code, _, _ = _run(
-            capsys, "plan", "--test-matrix", "tridiag:10:0.5",
-            "--dist", "sobol", "--eps", "0.1", "--delta", "0.1",
+        # one test over every subcommand that takes --dist
+        for argv in BAD_DIST_COMMANDS:
+            code, out, err = _run(capsys, *argv, "--test-matrix", "tridiag:10:0.5")
+            assert code == EXIT_USAGE, argv
+            assert "usage error" in err and out == "", argv
+
+    @pytest.mark.parametrize("eps", ["nan", "inf"])
+    @pytest.mark.parametrize("dist", [("rademacher",), ("gaussian-normwise",),
+                                      ("rademacher", "--component", "3")])
+    def test_non_finite_eps_is_data_error(self, capsys, eps, dist):
+        code, out, err = _run(
+            capsys, "plan", "--test-matrix", "tridiag:10:0.5", "--dist", *dist,
+            f"--eps={eps}", "--delta", "0.1",
         )
-        assert code == EXIT_USAGE
+        assert code == EXIT_DATA
+        assert "epsilon must be positive and finite" in err
+        assert out == ""
 
     def test_sparse_plan(self, capsys):
         code, out, _ = _run(
@@ -154,6 +183,28 @@ class TestBounds:
         assert code == EXIT_OK
         assert "off2sq = 0.5" in out
         assert "Psi =" in out
+
+    def test_gaussian_normwise_window_matches_planner(self, capsys):
+        code, out, _ = _run(
+            capsys, "bounds", "--test-matrix", "tridiag:100:0.5", "--dist", "gaussian-normwise",
+        )
+        assert code == EXIT_OK
+        assert "norm_ratio = 2\n" in out
+        _, plan_out, _ = _run(
+            capsys, "plan", "--test-matrix", "tridiag:100:0.5", "--dist", "gaussian-normwise",
+            "--eps", "0.1", "--delta", "0.01",
+        )
+        window = next(line for line in out.splitlines() if line.startswith("window"))
+        assert window in plan_out.splitlines()
+
+    @pytest.mark.parametrize("dist", ["rademacher", "gaussian", "normalized-gaussian"])
+    def test_component_constants_for_each_method(self, capsys, dist):
+        code, out, _ = _run(
+            capsys, "bounds", "--test-matrix", "tridiag:100:0.5", "--component", "50",
+            "--dist", dist,
+        )
+        assert code == EXIT_OK
+        assert "off2sq = 0.5" in out
 
     def test_bad_component_is_data_error(self, capsys):
         code, _, _ = _run(

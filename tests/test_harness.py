@@ -139,6 +139,36 @@ class TestSpecParsing:
             parse_estimator_spec("sobol")
         with pytest.raises(ValueError):
             EstimatorSpec("sparse")
+        for text in ("sparse:abc", "sparse:", "sparse:3:4", "gaussian:2"):
+            with pytest.raises(ValueError):
+                parse_estimator_spec(text)
+
+    def test_name_normalisation(self):
+        assert parse_estimator_spec(" Normalized-Gaussian ").method == "normalized_gaussian"
+        assert parse_estimator_spec("SPARSE:10").s == 10.0
+        # only the name is normalised: a signed parameter stays a number
+        assert parse_estimator_spec("sparse:1e-3").s == 1e-3
+
+    def test_probe_law_and_mode(self):
+        assert EstimatorSpec("rademacher").probe_distribution == rademacher()
+        assert EstimatorSpec("sparse", 3.0).probe_distribution.s == 3.0
+        assert EstimatorSpec("normalized_gaussian").probe_distribution == gaussian()
+        assert EstimatorSpec("normalized_gaussian").mode == "normalized"
+        assert EstimatorSpec("gaussian").mode == "unnormalized"
+        with pytest.raises(ValueError, match="not probe-based"):
+            EstimatorSpec("dgsm").probe_distribution
+
+    def test_estimate_dispatch_matches_direct_calls(self):
+        op = make_test_matrix("tridiag", 12, 0.5)
+        direct = {
+            "rademacher": estimate_diagonal(op, rademacher(), 9, 4),
+            "gaussian": estimate_diagonal(op, gaussian(), 9, 4),
+            "normalized-gaussian": estimate_diagonal_normalized(op, 9, 4),
+        }
+        for text, expected in direct.items():
+            got = parse_estimator_spec(text).estimate(op, 9, 4)
+            assert got.mode == expected.mode
+            assert np.array_equal(got.value, expected.value)
 
 
 class TestConfigs:

@@ -165,16 +165,24 @@ class TestConstruction:
 
 class TestDenseSymmetric:
     def test_packed_count(self):
-        op = DenseSymmetric.from_dense(np.eye(7))
-        assert op._packed.shape == (7 * 8 // 2,)
+        packed = np.arange(1.0, 7 * 8 // 2 + 1)
+        full = DenseSymmetric(packed, 7).to_dense()
+        assert np.array_equal(full[np.tril_indices(7)], packed)
+        assert np.array_equal(full, full.T)
         with pytest.raises(ValueError, match="needs"):
             DenseSymmetric(np.zeros(5), 7)
 
     def test_reconstruction_is_exactly_symmetric(self):
         m = RNG.standard_normal((15, 15))
         op = DenseSymmetric.from_dense(0.5 * (m + m.T))
-        full = op.full()
+        full = op.to_dense()
         assert np.array_equal(full, full.T)
+
+    def test_to_dense_is_an_independent_copy(self):
+        op = DenseSymmetric.from_dense(np.eye(3))
+        op.to_dense()[0, 0] = 5.0
+        assert np.array_equal(op.to_dense(), np.eye(3))
+        assert np.array_equal(op.exact_diag(), np.ones(3))
 
     def test_asymmetric_rejected(self):
         m = np.array([[1.0, 1.0], [1.5, 1.0]])

@@ -183,6 +183,12 @@ class TestUniform:
         block, _ = sample_uniform_block(10, RngState(11), 100, low=2.0, high=3.0)
         assert block.min() >= 2.0 and block.max() < 3.0
 
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError, match="count must be nonnegative"):
+            sample_uniform_block(4, RngState(11), -1)
+        with pytest.raises(ValueError, match="count must be nonnegative"):
+            sample_probe_block(rademacher(), 4, RngState(11), -1)
+
 
 def test_gaussian_block_is_standard_normal():
     draws = _draws(gaussian(), N_EMPIRICAL)
