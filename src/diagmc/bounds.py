@@ -2,8 +2,10 @@
 
 Every function here is a pure evaluation of a closed-form tail bound, bound
 constant or sample-size requirement; nothing is estimated.  Bound constants
-need explicit matrix entries, so these operations accept dense-capable
-operators (or raw arrays), never pure matrix-free ones.
+are reductions of the per-row sums an operator computes from its own stored
+entries (:meth:`SymmetricOperator.row_sums`), so these operations accept
+operators with explicit entries, dense or sparse at any n, or raw symmetric
+arrays, never pure matrix-free ones.
 
 Conventions:
 
@@ -20,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .estimators import LinearGradientOracle, QuadraticGradientOracle
-from .operators import SymmetricOperator
+from .operators import DenseSymmetric, SymmetricOperator
 from .probes import validate_sparsity
 
 __all__ = [
@@ -50,24 +52,19 @@ NORMWISE_METHODS = ("rademacher", "sparse")
 COMPONENT_METHODS = ("rademacher", "gaussian", "normalized_gaussian")
 
 
-def _as_dense(matrix) -> np.ndarray:
-    if isinstance(matrix, SymmetricOperator):
-        return matrix.to_dense()
-    m = np.asarray(matrix, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    gap = float(np.max(np.abs(m - m.T))) if m.size else 0.0
-    if gap > 1e-12 * max(float(np.max(np.abs(m))), 1e-300):
-        raise ValueError("matrix is not symmetric")
-    return m
+def _row_sums(matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(a_ii, sum_j a_ij^2, sum_{j != i} |a_ij|) of an operator or raw array."""
+    if not isinstance(matrix, SymmetricOperator):
+        matrix = DenseSymmetric.from_dense(matrix)
+    return matrix.row_sums()
 
 
 def _check_args(n_samples=None, t=None, eps=None, delta=None) -> None:
     # validates whichever of the common bound arguments a caller passes
     if n_samples is not None and n_samples < 1:
         raise ValueError("n_samples must be at least 1")
-    if t is not None and t <= 0.0:
-        raise ValueError("t must be positive")
+    if t is not None and not (math.isfinite(t) and t > 0.0):
+        raise ValueError(f"t must be positive and finite, got {t}")
     if eps is not None and not (math.isfinite(eps) and eps > 0.0):
         raise ValueError(f"epsilon must be positive and finite, got {eps}")
     if delta is not None and not (0.0 < delta < 1.0):
@@ -134,46 +131,30 @@ def normwise_constants(matrix, s: float = 1.0) -> NormwiseConstants:
     result rather than an error.
     """
     s = validate_sparsity(s)
-    m = _as_dense(matrix)
-    n = m.shape[0]
-    diag = np.diag(m).copy()
+    diag, sq, off_abs = _row_sums(matrix)
     norm_da = float(np.max(np.abs(diag)))
-    off = m - np.diag(diag)
-    if not np.any(off):
-        if s == 1.0:
-            return NormwiseConstants(
-                s=s, k1=0.0, k2=0.0, d=math.nan, delta1=0.0, delta2=0.0,
-                norm_da=norm_da, is_diagonal=True,
-            )
-        # sparse probes do not recover diagonal matrices exactly, and the
-        # constants stay positive; keep them but carry the flag
-        variance_diag = (s - 1.0) * diag * diag
-        k1 = float(np.max(variance_diag))
-        k2 = float(np.max((s - 1.0) * np.abs(diag)))
-        d = float(np.sum(variance_diag)) / k1 if k1 > 0.0 else math.nan
-        if norm_da == 0.0:
-            raise ValueError("zero matrix has no relative bound constants")
+    is_diagonal = not np.any(off_abs)
+    if is_diagonal and s == 1.0:
         return NormwiseConstants(
-            s=s, k1=k1, k2=k2, d=d, delta1=k1 / norm_da**2,
-            delta2=k2 / norm_da, norm_da=norm_da, is_diagonal=True,
+            s=s, k1=0.0, k2=0.0, d=math.nan, delta1=0.0, delta2=0.0,
+            norm_da=norm_da, is_diagonal=True,
         )
-    col_sq = np.einsum("ij,ij->j", m, m)
-    variance_diag = col_sq + (s - 2.0) * diag * diag
-    k1 = float(np.max(variance_diag))
-    k2 = float(np.max((s - 1.0) * np.abs(diag) + s * np.sum(np.abs(off), axis=1)))
-    d = float(np.sum(variance_diag)) / k1
     if norm_da == 0.0:
         raise ValueError(
             "all diagonal entries are zero; relative normwise targets are undefined"
         )
+    variance_diag = sq + (s - 2.0) * diag * diag
+    k1 = float(np.max(variance_diag))
+    k2 = float(np.max((s - 1.0) * np.abs(diag) + s * off_abs))
     return NormwiseConstants(
         s=s,
         k1=k1,
         k2=k2,
-        d=d,
+        d=float(np.sum(variance_diag)) / k1,
         delta1=k1 / norm_da**2,
         delta2=k2 / norm_da,
         norm_da=norm_da,
+        is_diagonal=is_diagonal,
     )
 
 
@@ -236,10 +217,10 @@ def gaussian_normwise_window(matrix) -> tuple[float, float, int]:
 
     The last two are the edges of the validity window 8 e ln n <= N <= n.
     """
-    m = _as_dense(matrix)
-    n = m.shape[0]
-    norm_inf = float(np.max(np.sum(np.abs(m), axis=1)))
-    diag_inf = float(np.max(np.abs(np.diag(m))))
+    diag, _, off_abs = _row_sums(matrix)
+    n = diag.shape[0]
+    norm_inf = float(np.max(np.abs(diag) + off_abs))
+    diag_inf = float(np.max(np.abs(diag)))
     if diag_inf == 0.0:
         raise ValueError("all diagonal entries are zero")
     return norm_inf / diag_inf, 8.0 * math.e * math.log(n), n
@@ -299,13 +280,12 @@ class ComponentConstants:
 
 def component_constants(matrix, index: int) -> ComponentConstants:
     """Componentwise bound constants for one (0-based) diagonal entry."""
-    m = _as_dense(matrix)
-    n = m.shape[0]
+    diag, sq, _ = _row_sums(matrix)
+    n = diag.shape[0]
     if not (0 <= index < n):
         raise IndexError(f"component index {index} out of range for n={n}")
-    a_ii = float(m[index, index])
-    col = m[:, index]
-    col_norm_sq = float(col @ col)
+    a_ii = float(diag[index])
+    col_norm_sq = float(sq[index])
     off2sq = max(0.0, col_norm_sq - a_ii * a_ii)
     col_norm = math.sqrt(col_norm_sq)
     if a_ii != 0.0:

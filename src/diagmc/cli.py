@@ -26,11 +26,7 @@ from .harness import (
     write_experiment_csv,
 )
 from .matrixmarket import MatrixMarketError, load_matrix_market
-from .operators import (
-    TEST_MATRIX_KINDS,
-    UnsupportedOperationError,
-    make_test_matrix,
-)
+from .operators import TEST_MATRIX_KINDS, make_test_matrix
 
 __all__ = ["main"]
 
@@ -119,22 +115,13 @@ def _cmd_estimate(args) -> int:
         est = spec.estimate(op, args.samples, args.seed)
     except ValueError as exc:
         raise DataError(str(exc)) from None
-    values = est.value
-    try:
-        exact = op.exact_diag()
-    except UnsupportedOperationError:
-        exact = None
+    values, exact = est.value, op.exact_diag()
     out = Path(args.out) if args.out else _default_out("diagonal.csv")
     try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write("index,estimate,exact,abs_err\n")
             for i, v in enumerate(values):
-                if exact is None:
-                    fh.write(f"{i},{v:.17g},,\n")
-                else:
-                    fh.write(
-                        f"{i},{v:.17g},{exact[i]:.17g},{abs(v - exact[i]):.17g}\n"
-                    )
+                fh.write(f"{i},{v:.17g},{exact[i]:.17g},{abs(v - exact[i]):.17g}\n")
     except OSError as exc:
         raise DataError(f"cannot write {out}: {exc}") from None
     print(f"wrote {len(values)} diagonal estimates to {out}")
@@ -168,8 +155,6 @@ def _bounds_command(body):
         op = _load_operator(args)
         try:
             return body(op, args)
-        except UnsupportedOperationError as exc:
-            raise DataError(f"bound constants need explicit entries: {exc}") from None
         except (ValueError, IndexError) as exc:
             raise DataError(str(exc)) from None
 

@@ -3,17 +3,16 @@
 Supports the ``coordinate`` and ``array`` formats with ``real`` or
 ``integer`` fields and ``general`` or ``symmetric`` qualifiers.  General
 files must contain symmetric entries (checked to 1e-12 relative); duplicate
-coordinate entries are summed, following the format's convention.  Parse
-failures carry the offending line number.
+coordinate entries are summed, following the format's convention, and every
+value must be finite.  Parse failures carry the offending line number.
 """
 
 import numpy as np
 
-from .operators import CooSymmetric, DenseSymmetric, SymmetricOperator
+from .operators import DENSE_LIMIT, CooSymmetric, DenseSymmetric, SymmetricOperator
 
 __all__ = ["MatrixMarketError", "load_matrix_market"]
 
-_DENSE_LIMIT = 10_000
 _SYM_TOL = 1e-12
 
 
@@ -49,7 +48,9 @@ def _data_lines(lines: list[str], start: int):
         yield lineno + 1, stripped
 
 
-def _check_general_symmetry(m: np.ndarray, line_of) -> None:
+def _general_operator(m: np.ndarray, line_of) -> DenseSymmetric:
+    # ``m`` holds every entry of a general file, which must be symmetric
+    # already; ``line_of(i, j)`` names the line an asymmetric entry came from.
     scale = float(np.max(np.abs(m))) if m.size else 0.0
     gap = np.abs(m - m.T)
     bad = np.argwhere(gap > _SYM_TOL * max(scale, 1e-300))
@@ -60,25 +61,14 @@ def _check_general_symmetry(m: np.ndarray, line_of) -> None:
             f"A[{j + 1},{i + 1}]={m[j, i]:g}",
             line_of(i, j),
         )
-
-
-def _dense_operator(m: np.ndarray, symmetry: str, line_of) -> DenseSymmetric:
-    # ``m`` holds the file's entries: the lower triangle of a symmetric file,
-    # or every entry of a general one, which must be symmetric already.
-    # ``line_of(i, j)`` names the line an asymmetric entry came from.
-    if symmetry == "symmetric":
-        m += np.tril(m, -1).T
-    else:
-        _check_general_symmetry(m, line_of)
-        m = 0.5 * (m + m.T)
-    return DenseSymmetric._wrap(m)
+    return DenseSymmetric._wrap(0.5 * (m + m.T))
 
 
 def load_matrix_market(path) -> SymmetricOperator:
     """Parse a Matrix Market file into a symmetric operator.
 
     Returns a :class:`DenseSymmetric` (one full symmetric array) for
-    n <= 10^4 and a :class:`CooSymmetric` above that.
+    n <= ``DENSE_LIMIT`` and a :class:`CooSymmetric` above that.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -107,19 +97,33 @@ def load_matrix_market(path) -> SymmetricOperator:
     n = nrows
     if n < 1:
         raise MatrixMarketError("matrix dimension must be positive", lineno)
-    if n > _DENSE_LIMIT and not (fmt == "coordinate" and symmetry == "symmetric"):
+    if n > DENSE_LIMIT and not (fmt == "coordinate" and symmetry == "symmetric"):
         # the symmetry check for general files needs the dense matrix
         raise MatrixMarketError(
-            f"n = {n} exceeds the dense cutoff {_DENSE_LIMIT}; only "
+            f"n = {n} exceeds the dense cutoff {DENSE_LIMIT}; only "
             "symmetric coordinate files are ingested sparsely",
             lineno,
         )
 
     parse_value = float if field != "integer" else lambda tok: float(int(tok))
 
+    def value_line(index: int, start: int = lineno) -> int:
+        # rescan the data block: one value per coordinate line, one per array token
+        for at, text in _data_lines(lines, start):
+            index -= 1 if fmt == "coordinate" else len(text.split())
+            if index < 0:
+                return at
+
+    def finite(values: list) -> np.ndarray:
+        values = np.asarray(values, dtype=np.float64)
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise MatrixMarketError(f"non-finite value {values[bad[0]]}", value_line(int(bad[0])))
+        return values
+
     if fmt == "coordinate":
         nnz = sizes[2]
-        rows, cols, vals, entry_lines = [], [], [], {}
+        rows, cols, vals = [], [], []
         for lineno, text in data:
             tokens = text.split()
             if len(tokens) != 3:
@@ -138,28 +142,32 @@ def load_matrix_market(path) -> SymmetricOperator:
             rows.append(i)
             cols.append(j)
             vals.append(value)
-            entry_lines.setdefault((i, j), lineno)
         if len(vals) != nnz:
             raise MatrixMarketError(
                 f"declared {nnz} entries but found {len(vals)}", len(lines)
             )
-        if symmetry == "symmetric" and n > _DENSE_LIMIT:
-            return CooSymmetric(n, rows, cols, vals)
+        vals = finite(vals)
+        if symmetry == "symmetric":
+            op = CooSymmetric(n, rows, cols, vals)
+            return op if n > DENSE_LIMIT else DenseSymmetric._wrap(op.to_dense())
         m = np.zeros((n, n))
         np.add.at(m, (rows, cols), vals)
-        return _dense_operator(
-            m, symmetry, lambda i, j: entry_lines.get((i, j)) or entry_lines.get((j, i))
-        )
+
+        def entry_line(i: int, j: int) -> int:
+            # the first entry at (i, j), else the first at (j, i)
+            r, c = np.asarray(rows), np.asarray(cols)
+            return value_line(int(np.argmax(2 * ((r == i) & (c == j)) + ((r == j) & (c == i)))))
+
+        return _general_operator(m, entry_line)
 
     # array format: column-major dense values, lower triangle only when symmetric
-    values, value_lines = [], []
+    values = []
     for lineno, text in data:
         for token in text.split():
             try:
                 values.append(parse_value(token))
             except ValueError:
                 raise MatrixMarketError(f"cannot parse value {token!r}", lineno) from None
-            value_lines.append(lineno)
     if symmetry == "symmetric":
         expected_count = n * (n + 1) // 2
     else:
@@ -168,10 +176,13 @@ def load_matrix_market(path) -> SymmetricOperator:
         raise MatrixMarketError(
             f"expected {expected_count} array values, found {len(values)}", len(lines)
         )
-    if symmetry == "symmetric":
-        # column-major lower triangle = row-major upper triangle of m.T
-        m = np.zeros((n, n))
-        m.T[np.triu_indices(n)] = values
-    else:
-        m = np.asarray(values).reshape((n, n), order="F")
-    return _dense_operator(m, symmetry, lambda i, j: value_lines[j * n + i])
+    values = finite(values)
+    if symmetry == "general":
+        m = values.reshape((n, n), order="F")
+        return _general_operator(m, lambda i, j: value_line(j * n + i))
+    # the column-major lower triangle is the row-major upper one, mirrored
+    m = np.zeros((n, n))
+    upper = np.triu_indices(n)
+    m[upper] = values
+    m.T[upper] = values
+    return DenseSymmetric._wrap(m)

@@ -1,9 +1,10 @@
 """Symmetric linear operators accessed through matrix-vector products.
 
 The estimators only ever see ``op.apply``; explicit entries are needed just
-for computing error-bound constants and exact diagonals, so operators that
-cannot provide them raise :class:`UnsupportedOperationError` from
-``to_dense``/``exact_diag``.
+for error-bound constants and exact diagonals.  Each operator reduces its own
+stored entries to the per-row sums the bounds read (``row_sums``), so no bound
+densifies a sparse operator; operators that cannot provide entries raise
+:class:`UnsupportedOperationError` from ``to_dense``/``row_sums``/``exact_diag``.
 
 Three parametrised test families with analytically known diagonals and
 bound constants are provided:
@@ -33,6 +34,14 @@ __all__ = [
     "UnsupportedOperationError",
     "make_test_matrix",
 ]
+
+# Largest dimension stored (and densified) as a full n x n array.
+DENSE_LIMIT = 10_000
+
+
+def _check_finite(values: np.ndarray) -> None:
+    if not np.all(np.isfinite(values)):
+        raise ValueError("matrix entries must be finite")
 
 
 class UnsupportedOperationError(RuntimeError):
@@ -95,6 +104,10 @@ class SymmetricOperator(ABC):
             f"{type(self).__name__} cannot report its exact diagonal"
         )
 
+    def row_sums(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per row i: a_ii, sum_j a_ij^2 and sum_{j != i} |a_ij|, the inputs of every bound."""
+        return DenseSymmetric._wrap(self.to_dense()).row_sums()
+
 
 class MatrixFreeOperator(SymmetricOperator):
     """Wrap a matvec callable; the operator is presumed symmetric."""
@@ -127,6 +140,7 @@ class DenseSymmetric(SymmetricOperator):
                 f"packed lower triangle of a {dim}x{dim} matrix needs "
                 f"{expected} values, got {packed.shape[0]}"
             )
+        _check_finite(packed)
         m = np.zeros((dim, dim))
         lower = np.tril_indices(dim)
         m[lower] = packed
@@ -147,6 +161,7 @@ class DenseSymmetric(SymmetricOperator):
         m = np.asarray(matrix, dtype=np.float64)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
+        _check_finite(m)
         scale = np.max(np.abs(m)) if m.size else 0.0
         gap = np.max(np.abs(m - m.T)) if m.size else 0.0
         if gap > tol * max(scale, 1e-300):
@@ -162,15 +177,22 @@ class DenseSymmetric(SymmetricOperator):
     def exact_diag(self) -> np.ndarray:
         return np.diag(self._matrix).copy()
 
+    def row_sums(self):
+        m = self._matrix  # exactly symmetric: column sums are row sums
+        off_abs = np.abs(m)
+        np.fill_diagonal(off_abs, 0.0)
+        return self.exact_diag(), np.einsum("ij,ij->j", m, m), np.sum(off_abs, axis=1)
+
     def _matvec(self, mat):
         return self._matrix @ mat
 
 
 class CooSymmetric(SymmetricOperator):
-    """Coordinate-list symmetric operator holding lower-triangle entries.
+    """Coordinate-list symmetric operator built from lower-triangle entries.
 
-    Storage of choice above the dense cutoff (n > 10^4); entries with
-    ``row < col`` are rejected, the upper triangle being implied by symmetry.
+    Storage of choice above the dense cutoff (n > ``DENSE_LIMIT``); entries
+    with ``row < col`` are rejected, duplicates are summed.  The entries are
+    stored once followed by the mirrors of the off-diagonal ones.
     """
 
     def __init__(self, dim: int, rows, cols, values):
@@ -186,32 +208,41 @@ class CooSymmetric(SymmetricOperator):
             raise ValueError("column index out of range")
         if np.any(rows < cols):
             raise ValueError("entries must lie on or below the diagonal")
-        self._rows, self._cols, self._values = rows, cols, values
+        _check_finite(values)
+        off = rows != cols
+        self._rows = np.concatenate([rows, cols[off]])
+        self._cols = np.concatenate([cols, rows[off]])
+        self._values = np.concatenate([values, values[off]])
 
     def _matvec(self, mat):
-        out = np.zeros_like(mat)
-        contrib = self._values[:, None] * mat[self._cols]
-        np.add.at(out, self._rows, contrib)
-        off = self._rows != self._cols
-        contrib_t = self._values[off, None] * mat[self._rows[off]]
-        np.add.at(out, self._cols[off], contrib_t)
+        out = np.empty_like(mat)
+        for k, col in enumerate(mat.T):
+            out[:, k] = np.bincount(self._rows, self._values * col[self._cols], self._dim)
         return out
 
     def exact_diag(self) -> np.ndarray:
+        # np.add.at, not np.bincount: bincount of no entries is integer zeros
         diag = np.zeros(self._dim)
         on = self._rows == self._cols
         np.add.at(diag, self._rows[on], self._values[on])
         return diag
 
+    def row_sums(self):
+        # duplicates are summed first, in storage order, as to_dense sums them
+        n = self._dim
+        keys, slot = np.unique(self._rows * n + self._cols, return_inverse=True)
+        values = np.bincount(slot, self._values)
+        rows, cols = np.divmod(keys, n)
+        off_abs = np.where(rows != cols, np.abs(values), 0.0)
+        return self.exact_diag(), np.bincount(rows, values * values, n), np.bincount(rows, off_abs, n)
+
     def to_dense(self) -> np.ndarray:
-        if self._dim > 10_000:
+        if self._dim > DENSE_LIMIT:
             raise UnsupportedOperationError(
-                "refusing to densify a sparse operator with n > 10^4"
+                f"refusing to densify a sparse operator with n > {DENSE_LIMIT}"
             )
         m = np.zeros((self._dim, self._dim))
         np.add.at(m, (self._rows, self._cols), self._values)
-        off = self._rows != self._cols
-        np.add.at(m, (self._cols[off], self._rows[off]), self._values[off])
         return m
 
 

@@ -6,6 +6,7 @@ bounds module and against the test families' closed forms.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ import pytest
 from diagmc import bounds
 from diagmc.estimators import estimate_diagonal
 from diagmc.harness import EstimatorSpec, replicate_component_errors
-from diagmc.operators import MatrixFreeOperator, make_test_matrix
+from diagmc.operators import CooSymmetric, MatrixFreeOperator, make_test_matrix
 from diagmc.probes import RngState, rademacher
 
 RNG = np.random.default_rng(777)
@@ -136,6 +137,31 @@ class TestNormwiseConstants:
         with pytest.raises(Exception, match="explicit-entries"):
             bounds.normwise_constants(op)
 
+    def test_nan_matrix_refused(self):
+        with pytest.raises(ValueError, match="finite"):
+            bounds.normwise_constants(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+
+    def test_large_sparse_from_stored_entries(self):
+        # densifying this operator would take 80 GB
+        n, theta = 100_000, 0.5
+        idx = np.arange(n)
+        op = CooSymmetric(n, np.concatenate([idx, idx[1:]]), np.concatenate([idx, idx[:-1]]),
+                          np.concatenate([np.ones(n), np.full(n - 1, theta)]))
+        closed = make_test_matrix("tridiag", 3, theta).analytic_constants()
+        tracemalloc.start()
+        try:
+            nc = bounds.normwise_constants(op)
+            end = bounds.component_constants(op, 0)
+            mid = bounds.component_constants(op, n // 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert nc.k1 == closed.k1 and nc.k2 == closed.k2 and nc.d == n - 1
+        assert nc.norm_da == 1.0 and not nc.is_diagonal
+        assert (end.a_ii, end.off2sq) == (1.0, theta**2)
+        assert (mid.a_ii, mid.off2sq) == (1.0, 2.0 * theta**2)
+
 
 class TestNormwiseTail:
     def test_decays_to_zero(self):
@@ -175,6 +201,18 @@ class TestNormwiseTail:
     def test_diagonal_tail_zero(self):
         nc = bounds.normwise_constants(np.diag([1.0, 2.0]))
         assert bounds.normwise_tail_bound(nc, 5, 0.3) == 0.0
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, 0.0, -1.0])
+    def test_t_must_be_positive_and_finite(self, t):
+        nc = bounds.normwise_constants(make_test_matrix("tridiag", 10, 0.5))
+        cc = bounds.component_constants(make_test_matrix("tridiag", 10, 0.5), 3)
+        dc = bounds.dgsm_constants(np.array([0.1, 0.2]), 1.0)
+        calls = [lambda: bounds.normwise_tail_bound(nc, 10, t),
+                 lambda: bounds.component_tail_bound(cc, "rademacher", 10, t),
+                 lambda: bounds.dgsm_tail_bound(dc, 10, t)]
+        for call in calls:
+            with pytest.raises(ValueError, match="t must be positive"):
+                call()
 
 
 class TestNormwisePlanner:

@@ -213,6 +213,23 @@ class TestBounds:
         assert code == EXIT_DATA
 
 
+class TestLargeSparseFile:
+    def test_plan_and_bounds_above_the_dense_cutoff(self, tmp_path, capsys):
+        n = 20_000
+        lines = ["%%MatrixMarket matrix coordinate real symmetric", f"{n} {n} {2 * n - 1}"]
+        lines += [f"{i} {i} 1.0" for i in range(1, n + 1)]
+        lines += [f"{i + 1} {i} 0.5" for i in range(1, n)]
+        path = tmp_path / "tridiag.mtx"
+        path.write_text("\n".join(lines) + "\n")
+        code, out, err = _run(capsys, "plan", "--matrix-file", str(path),
+                              "--eps", "0.1", "--delta", "0.01")
+        assert code == EXIT_OK, err
+        assert "K1 = 0.5\n" in out and "K2 = 1\n" in out
+        code, out, err = _run(capsys, "bounds", "--matrix-file", str(path), "--component", "7")
+        assert code == EXIT_OK, err
+        assert "off2sq = 0.5\n" in out
+
+
 class TestExperiment:
     def test_small_experiment_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "exp1.csv"

@@ -171,6 +171,72 @@ class TestArray:
             load_matrix_market(path)
 
 
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN"])
+    def test_symmetric_coordinate(self, tmp_path, bad):
+        path = _write(tmp_path, f"""%%MatrixMarket matrix coordinate real symmetric
+3 3 3
+1 1 1.0
+% a comment line
+2 2 {bad}
+3 3 1.0
+""")
+        with pytest.raises(MatrixMarketError, match="non-finite") as err:
+            load_matrix_market(path)
+        assert err.value.line == 5
+
+    def test_general_coordinate_nan_not_taken_as_symmetric(self, tmp_path):
+        path = _write(tmp_path, """%%MatrixMarket matrix coordinate real general
+2 2 4
+1 1 1.0
+1 2 nan
+2 1 nan
+2 2 1.0
+""")
+        with pytest.raises(MatrixMarketError, match="non-finite") as err:
+            load_matrix_market(path)
+        assert err.value.line == 4
+
+    @pytest.mark.parametrize("symmetry", ["general", "symmetric"])
+    def test_array(self, tmp_path, symmetry):
+        path = _write(tmp_path, f"""%%MatrixMarket matrix array real {symmetry}
+2 2
+1.0{" 0.5" if symmetry == "general" else ""}
+0.5
+inf
+""")
+        with pytest.raises(MatrixMarketError, match="non-finite") as err:
+            load_matrix_market(path)
+        assert err.value.line == 5
+
+
+class TestAsymmetryLine:
+    def test_entry_only_below_the_diagonal(self, tmp_path):
+        # A[1,2] is implicitly zero; the line of A[2,1] is reported
+        path = _write(tmp_path, """%%MatrixMarket matrix coordinate real general
+2 2 3
+1 1 1.0
+2 2 1.0
+2 1 1.5
+""")
+        with pytest.raises(MatrixMarketError, match="asymmetric") as err:
+            load_matrix_market(path)
+        assert err.value.line == 5
+
+    def test_array_value_line(self, tmp_path):
+        # column-major values A11 A21 A12 A22: the first asymmetric position
+        # in row-major order is A[1,2], the third value, on line 4
+        path = _write(tmp_path, """%%MatrixMarket matrix array real general
+2 2
+1.0 1.5
+1.0
+1.0
+""")
+        with pytest.raises(MatrixMarketError, match="asymmetric") as err:
+            load_matrix_market(path)
+        assert err.value.line == 4
+
+
 class TestHeader:
     def test_bad_banner(self, tmp_path):
         path = _write(tmp_path, "%%NotMatrixMarket\n2 2 0\n")

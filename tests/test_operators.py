@@ -218,6 +218,80 @@ class TestCooSymmetric:
         op = CooSymmetric(2, rows=[0, 0], cols=[0, 0], values=[1.0, 2.0])
         assert op.to_dense()[0, 0] == 3.0
 
+    def test_no_diagonal_entries(self):
+        op = CooSymmetric(3, rows=[2], cols=[0], values=[1.5])
+        assert op.exact_diag().dtype == np.float64
+        assert np.array_equal(op.exact_diag(), np.zeros(3))
+        assert np.array_equal(op.row_sums()[2], [1.5, 0.0, 1.5])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            CooSymmetric(3, rows=[0, 2], cols=[0, 1], values=[1.0, bad])
+
+
+class TestNonFiniteDense:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_from_dense_rejects(self, bad):
+        m = np.eye(3)
+        m[1, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            DenseSymmetric.from_dense(m)
+
+    def test_packed_rejects(self):
+        with pytest.raises(ValueError, match="finite"):
+            DenseSymmetric(np.array([1.0, np.nan, 1.0]), 2)
+
+
+def _split_coo(m, rng):
+    """Lower-triangle entries of ``m`` in shuffled order, each split in two."""
+    rows, cols = np.nonzero(np.tril(m))
+    vals = m[rows, cols]
+    part = rng.uniform(-1.0, 1.0, vals.size)
+    rows, cols, vals = np.tile(rows, 2), np.tile(cols, 2), np.concatenate([part, vals - part])
+    order = rng.permutation(vals.size)
+    return CooSymmetric(m.shape[0], rows[order], cols[order], vals[order])
+
+
+class TestRowSums:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_implementations_agree_with_the_definition(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 12 + seed
+        m = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.4)
+        m = np.tril(m) + np.tril(m, -1).T
+        definition = (np.diag(m), np.sum(m * m, axis=1),
+                      np.sum(np.abs(m), axis=1) - np.abs(np.diag(m)))
+        coo = _split_coo(m, rng)
+        for got in (DenseSymmetric.from_dense(m).row_sums(), coo.row_sums()):
+            for have, want in zip(got, definition):
+                assert np.allclose(have, want, rtol=1e-13, atol=1e-13)
+        # duplicates are summed in storage order, as to_dense sums them
+        assert np.array_equal(coo.row_sums()[0], np.diag(coo.to_dense()))
+
+    @pytest.mark.parametrize("kind,theta", [("rank1", 0.05), ("decay", 0.5), ("tridiag", 0.5)])
+    def test_base_reduces_to_dense(self, kind, theta):
+        op = make_test_matrix(kind, 17, theta)
+        m = op.to_dense()
+        expected = DenseSymmetric.from_dense(m).row_sums()
+        for have, want in zip(op.row_sums(), expected):
+            assert np.array_equal(have, want)
+        assert np.array_equal(op.row_sums()[0], op.exact_diag())
+
+    def test_does_not_apply(self, monkeypatch):
+        op = _split_coo(np.diag([1.0, 2.0]) + 0.5, np.random.default_rng(0))
+
+        def refuse(*_):
+            raise AssertionError("row_sums must read stored entries")
+        monkeypatch.setattr(CooSymmetric, "apply", refuse)
+        monkeypatch.setattr(DenseSymmetric, "apply", refuse)
+        op.row_sums()
+        DenseSymmetric.from_dense(np.eye(2)).row_sums()
+
+    def test_matrix_free_refused(self):
+        with pytest.raises(UnsupportedOperationError):
+            MatrixFreeOperator(3, lambda m: m).row_sums()
+
 
 class TestOperatorProtocol:
     def test_positive_dimension_required(self):
