@@ -13,6 +13,7 @@ directory for generated CSV files.
 """
 
 import argparse
+import ctypes
 import os
 import sys
 from pathlib import Path
@@ -27,6 +28,7 @@ from .harness import (
 )
 from .matrixmarket import MatrixMarketError, load_matrix_market
 from .operators import TEST_MATRIX_KINDS, make_test_matrix
+from .probes import _BLOCK_BYTES
 
 __all__ = ["main"]
 
@@ -291,7 +293,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _keep_freed_blocks() -> None:
+    # A block of up to _BLOCK_BYTES per array is freed after every block; glibc
+    # would hand it back to the kernel and fault it in again for the next one.
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except OSError:  # not glibc
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, _BLOCK_BYTES)  # M_MMAP_THRESHOLD: smaller arrays come from the heap
+    mallopt(-1, 2 * _BLOCK_BYTES)  # M_TRIM_THRESHOLD: and stay there once freed
+
+
 def main(argv=None) -> int:
+    _keep_freed_blocks()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -28,6 +28,7 @@ from .operators import SymmetricOperator
 from .probes import (
     ProbeDistribution,
     RngState,
+    _block_counts,
     gaussian,
     sample_probe_block,
     sample_uniform_block,
@@ -137,12 +138,7 @@ class DiagonalEstimate:
     def update(self, probe: np.ndarray, aprobe: np.ndarray) -> "DiagonalEstimate":
         """Consume one probe and its image ``A @ probe``."""
         probe = self._check_vector(probe, "probe")
-        aprobe = self._check_vector(aprobe, "aprobe")
-        self._num.add(aprobe * probe)
-        if self._den is not None:
-            self._den.add(probe * probe)
-        self._count += 1
-        return self
+        return self.update_block(probe[:, None], self._check_vector(aprobe, "aprobe")[:, None])
 
     def update_block(self, probes: np.ndarray, aprobes: np.ndarray) -> "DiagonalEstimate":
         """Consume a batch of probes given as (n, k) column blocks."""
@@ -201,21 +197,22 @@ def _run_estimate(
     n_samples: int,
     seed: Union[int, RngState],
     mode: str,
-    block_size: int,
 ) -> DiagonalEstimate:
-    # The block loop of every estimator: ``draw(state, count)`` returns a
-    # block of ``count`` samples as two (dim, count) factors whose product is
-    # summed into the estimate, plus the advanced stream state.
+    # The block loop of every estimator: ``draw(state, count)`` returns two
+    # (dim, count) sample factors whose product is summed into the estimate, and
+    # the advanced state.  A NaN or inf factor survives the product, even by 0.
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
     state = _resolve_state(seed)
     est = DiagonalEstimate(dim, mode)
-    remaining = n_samples
-    while remaining > 0:
-        count = min(block_size, remaining)
+    for count in _block_counts(dim, n_samples):
         left, right, state = draw(state, count)
         est.update_block(left, right)
-        remaining -= count
+        if not np.isfinite(est.numerator).all():
+            first = state.counter - count
+            raise ValueError(
+                f"non-finite matvec or gradient values at probe counters [{first}, {state.counter})"
+            )
     return est
 
 
@@ -232,7 +229,6 @@ def estimate_diagonal(
     dist: ProbeDistribution,
     n_samples: int,
     seed: Union[int, RngState],
-    block_size: int = 1024,
 ) -> DiagonalEstimate:
     """Unnormalized Monte Carlo estimate of ``diag(A)`` from ``n_samples`` probes.
 
@@ -240,16 +236,13 @@ def estimate_diagonal(
     any of the probe families.  With Rademacher probes a diagonal matrix is
     recovered exactly from a single sample.
     """
-    return _run_estimate(
-        op.dim, _probe_source(op, dist), n_samples, seed, UNNORMALIZED, block_size
-    )
+    return _run_estimate(op.dim, _probe_source(op, dist), n_samples, seed, UNNORMALIZED)
 
 
 def estimate_diagonal_normalized(
     op: SymmetricOperator,
     n_samples: int,
     seed: Union[int, RngState],
-    block_size: int = 1024,
 ) -> DiagonalEstimate:
     """Normalized (elementwise-ratio) estimate of ``diag(A)`` from Gaussian probes.
 
@@ -257,9 +250,7 @@ def estimate_diagonal_normalized(
     and Rademacher probes would make the denominator identically N.  Exact for
     diagonal matrices already at N = 1.
     """
-    return _run_estimate(
-        op.dim, _probe_source(op, gaussian()), n_samples, seed, NORMALIZED, block_size
-    )
+    return _run_estimate(op.dim, _probe_source(op, gaussian()), n_samples, seed, NORMALIZED)
 
 
 class GradientOracle(ABC):
@@ -293,10 +284,6 @@ class GradientOracle(ABC):
                     f"gradient sup norm {worst:g} exceeds the declared bound {self.beta:g}"
                 )
         return grads, new_state
-
-    def sample_gradient(self, state: RngState) -> tuple[np.ndarray, RngState]:
-        grads, new_state = self.sample_gradient_block(state, 1)
-        return grads[:, 0], new_state
 
 
 class LinearGradientOracle(GradientOracle):
@@ -350,7 +337,6 @@ def estimate_dgsm(
     oracle: GradientOracle,
     n_samples: int,
     seed: Union[int, RngState],
-    block_size: int = 1024,
 ) -> DiagonalEstimate:
     """Estimate the diagonal of the gradient second-moment matrix.
 
@@ -362,7 +348,7 @@ def estimate_dgsm(
         grads, state = oracle.sample_gradient_block(state, count)
         return grads, grads, state
 
-    return _run_estimate(oracle.dim, draw, n_samples, seed, UNNORMALIZED, block_size)
+    return _run_estimate(oracle.dim, draw, n_samples, seed, UNNORMALIZED)
 
 
 def _estimate_values(est) -> np.ndarray:

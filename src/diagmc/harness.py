@@ -17,7 +17,6 @@ yields a byte-identical CSV.
 
 import csv
 import math
-import time
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
@@ -40,6 +39,7 @@ from .operators import SymmetricOperator, make_test_matrix, TEST_MATRIX_KINDS
 from .probes import (
     ProbeDistribution,
     RngState,
+    _block_counts,
     derive_seed,
     gaussian,
     rademacher,
@@ -202,7 +202,6 @@ class RunRecord:
     replicate: int
     seed: int
     nre: float
-    wall_time: float
 
 
 @dataclass(frozen=True)
@@ -260,16 +259,14 @@ def _run_cells(config: ExperimentConfig):
                     cell_seed = derive_seed(
                         config.seed, config.experiment, ti, di, ni, r
                     )
-                    start = time.perf_counter()
                     est = spec.estimate(source, n_samples, cell_seed)
                     nre = normwise_relative_error(est, exact)
-                    elapsed = time.perf_counter() - start
                     nres.append(nre)
                     records.append(RunRecord(
                         experiment=config.experiment, matrix=config.matrix,
                         theta=theta, dist=spec.label, s=spec.sparsity,
                         n_samples=n_samples, replicate=r, seed=cell_seed,
-                        nre=nre, wall_time=elapsed,
+                        nre=nre,
                     ))
                 summaries.append(CellSummary(
                     experiment=config.experiment, matrix=config.matrix,
@@ -447,13 +444,12 @@ def replicate_component_errors(
     n_samples: int,
     replicates: int,
     seed: Union[int, RngState],
-    chunk: int = 200_000,
 ) -> np.ndarray:
     """Signed errors est_i - a_ii over independent replicates of one estimator.
 
     Replicate r consumes counters [r*N, (r+1)*N) of a single stream, so the
-    replicates are disjoint and the whole study is one vectorized pass.  By
-    symmetry the needed inner products use only row ``index`` of the matrix.
+    replicates are disjoint and the study is one pass over probe blocks, which may
+    split a replicate.  By symmetry the inner products use only row ``index``.
     """
     if n_samples < 1 or replicates < 1:
         raise ValueError("n_samples and replicates must be positive")
@@ -463,21 +459,19 @@ def replicate_component_errors(
     dist = spec.probe_distribution
     normalized = spec.mode == NORMALIZED
 
-    errors = np.empty(replicates)
-    per_chunk = max(1, chunk // n_samples)
+    num = np.zeros(replicates)
+    den = np.zeros(replicates) if normalized else np.full(replicates, float(n_samples))
     done = 0
-    while done < replicates:
-        count = min(per_chunk, replicates - done)
-        block, state = sample_probe_block(dist, op.dim, state, count * n_samples)
-        num = (row @ block) * block[index]
-        num = num.reshape(count, n_samples).sum(axis=1)
+    for count in _block_counts(op.dim, replicates * n_samples):
+        block, state = sample_probe_block(dist, op.dim, state, count)
+        first = done // n_samples
+        owner = np.arange(done, done + count) // n_samples - first
+        reps = slice(first, first + owner[-1] + 1)
+        num[reps] += np.bincount(owner, (row @ block) * block[index])
         if normalized:
-            den = (block[index] ** 2).reshape(count, n_samples).sum(axis=1)
-            errors[done : done + count] = num / den - a_ii
-        else:
-            errors[done : done + count] = num / n_samples - a_ii
+            den[reps] += np.bincount(owner, block[index] ** 2)
         done += count
-    return errors
+    return num / den - a_ii
 
 
 def normalized_error_samples(

@@ -21,6 +21,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .probes import _block_counts
+
 __all__ = [
     "AnalyticConstants",
     "DecayingRankOne",
@@ -178,10 +180,15 @@ class DenseSymmetric(SymmetricOperator):
         return np.diag(self._matrix).copy()
 
     def row_sums(self):
-        m = self._matrix  # exactly symmetric: column sums are row sums
-        off_abs = np.abs(m)
-        np.fill_diagonal(off_abs, 0.0)
-        return self.exact_diag(), np.einsum("ij,ij->j", m, m), np.sum(off_abs, axis=1)
+        m, n = self._matrix, self._dim  # exactly symmetric: column sums are row sums
+        # |A| goes through one reused row block, not a second n x n array
+        buf, off_abs, lo = np.empty((next(_block_counts(n, n)), n)), np.empty(n), 0
+        for count in _block_counts(n, n):
+            rows = np.abs(m[lo : lo + count], out=buf[:count])
+            rows[np.arange(count), np.arange(lo, lo + count)] = 0.0
+            off_abs[lo : lo + count] = rows.sum(axis=1)
+            lo += count
+        return self.exact_diag(), np.einsum("ij,ij->j", m, m), off_abs
 
     def _matvec(self, mat):
         return self._matrix @ mat

@@ -173,6 +173,19 @@ def _words_per_probe(n: int) -> int:
     return 4 * ((n + 3) // 4)
 
 
+# The one block policy: at most _BLOCK_VECTORS length-n vectors and _BLOCK_BYTES
+# of float64 entries per block, but one vector at least.  Counter addressing
+# makes the split invisible to the values drawn.
+_BLOCK_VECTORS = 1024
+_BLOCK_BYTES = 2**25
+
+
+def _block_counts(n: int, total: int):
+    size = max(1, min(_BLOCK_VECTORS, _BLOCK_BYTES // (8 * n)))
+    for start in range(0, total, size):
+        yield min(size, total - start)
+
+
 def _raw_words(seed: int, first_word: int, n_words: int) -> np.ndarray:
     if first_word % 4 != 0:
         raise ValueError("word offset must be block-aligned")

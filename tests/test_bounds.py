@@ -6,13 +6,12 @@ bounds module and against the test families' closed forms.
 """
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
 from diagmc import bounds
-from diagmc.estimators import estimate_diagonal
+from diagmc.estimators import estimate_diagonal, estimate_diagonal_normalized
 from diagmc.harness import EstimatorSpec, replicate_component_errors
 from diagmc.operators import CooSymmetric, MatrixFreeOperator, make_test_matrix
 from diagmc.probes import RngState, rademacher
@@ -24,6 +23,13 @@ THETA_GRIDS = {
     "decay": np.linspace(0.1, 1.0, 5),
     "tridiag": np.linspace(0.1, 1.0, 5),
 }
+
+
+def _tridiag_coo(n, theta):
+    """Unit-diagonal tridiagonal Toeplitz matrix as stored lower-triangle entries."""
+    idx = np.arange(n)
+    return CooSymmetric(n, np.concatenate([idx, idx[1:]]), np.concatenate([idx, idx[:-1]]),
+                        np.concatenate([np.ones(n), np.full(n - 1, theta)]))
 
 
 def _oracle_normwise(m, s=1.0):
@@ -141,26 +147,50 @@ class TestNormwiseConstants:
         with pytest.raises(ValueError, match="finite"):
             bounds.normwise_constants(np.array([[1.0, np.nan], [np.nan, 1.0]]))
 
-    def test_large_sparse_from_stored_entries(self):
+    def test_large_sparse_from_stored_entries(self, peak_bytes):
         # densifying this operator would take 80 GB
         n, theta = 100_000, 0.5
-        idx = np.arange(n)
-        op = CooSymmetric(n, np.concatenate([idx, idx[1:]]), np.concatenate([idx, idx[:-1]]),
-                          np.concatenate([np.ones(n), np.full(n - 1, theta)]))
+        op = _tridiag_coo(n, theta)
         closed = make_test_matrix("tridiag", 3, theta).analytic_constants()
-        tracemalloc.start()
-        try:
-            nc = bounds.normwise_constants(op)
-            end = bounds.component_constants(op, 0)
-            mid = bounds.component_constants(op, n // 2)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        (nc, end, mid), peak = peak_bytes(lambda: (
+            bounds.normwise_constants(op),
+            bounds.component_constants(op, 0),
+            bounds.component_constants(op, n // 2),
+        ))
         assert peak < 64 * 2**20
         assert nc.k1 == closed.k1 and nc.k2 == closed.k2 and nc.d == n - 1
         assert nc.norm_da == 1.0 and not nc.is_diagonal
         assert (end.a_ii, end.off2sq) == (1.0, theta**2)
         assert (mid.a_ii, mid.off2sq) == (1.0, 2.0 * theta**2)
+
+
+class TestMillionTridiagonal:
+    # Estimated and planned under the block policy's memory bound.  Measured
+    # peaks: 172 MiB (Rademacher), 229 MiB (normalized), 176 MiB (constants).
+    # The estimate caps sit below the 397 MiB and 580 MiB that one block of
+    # all 16 probes takes.
+    N_SAMPLES = 16
+
+    @pytest.fixture(scope="class")
+    def op(self):
+        return _tridiag_coo(10**6, 0.5)
+
+    def test_rademacher_estimate(self, op, peak_bytes):
+        est, peak = peak_bytes(lambda: estimate_diagonal(op, rademacher(), self.N_SAMPLES, 3))
+        assert peak < 256 * 2**20
+        assert est.n_samples == self.N_SAMPLES and abs(est.value.mean() - 1.0) < 0.01
+
+    def test_normalized_estimate(self, op, peak_bytes):
+        est, peak = peak_bytes(lambda: estimate_diagonal_normalized(op, self.N_SAMPLES, 3))
+        assert peak < 320 * 2**20
+        assert est.n_samples == self.N_SAMPLES and abs(est.value.mean() - 1.0) < 0.01
+
+    def test_planned(self, op, peak_bytes):
+        nc, peak = peak_bytes(lambda: bounds.normwise_constants(op))
+        assert peak < 256 * 2**20
+        closed = make_test_matrix("tridiag", 3, 0.5).analytic_constants()
+        assert nc.k1 == closed.k1 and nc.k2 == closed.k2 and nc.d == 10**6 - 1
+        assert bounds.plan_samples_normwise(nc, 0.1, 1e-6) >= 1
 
 
 class TestNormwiseTail:

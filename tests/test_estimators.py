@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diagmc import probes
 from diagmc.estimators import (
     DegenerateProbeError,
     DiagonalEstimate,
@@ -20,7 +21,14 @@ from diagmc.estimators import (
     normwise_relative_error,
 )
 from diagmc.operators import DenseSymmetric, MatrixFreeOperator, make_test_matrix
-from diagmc.probes import RngState, gaussian, rademacher, sample_probe, sample_probe_block
+from diagmc.probes import (
+    RngState,
+    gaussian,
+    rademacher,
+    sample_probe,
+    sample_probe_block,
+    sparse_rademacher,
+)
 
 
 def _dense(matrix):
@@ -61,16 +69,37 @@ class TestUnnormalized:
             acc += (a @ w) * w
         assert np.allclose(est.value, acc / 2.0, rtol=1e-15, atol=0)
 
-    def test_cost_is_exactly_n_applications(self):
+    def test_cost_is_exactly_n_applications(self, monkeypatch):
+        monkeypatch.setattr(probes, "_BLOCK_VECTORS", 16)
         op = _CountingOperator(make_test_matrix("tridiag", 10, 0.5))
-        estimate_diagonal(op, rademacher(), 37, 0, block_size=16)
+        estimate_diagonal(op, rademacher(), 37, 0)
         assert op.columns_applied == 37
 
-    def test_block_size_does_not_change_result(self):
+    def test_block_size_does_not_change_result(self, monkeypatch):
         op = make_test_matrix("rank1", 30, 0.05)
-        a = estimate_diagonal(op, gaussian(), 100, 3, block_size=7)
-        b = estimate_diagonal(op, gaussian(), 100, 3, block_size=100)
+        b = estimate_diagonal(op, gaussian(), 100, 3)
+        monkeypatch.setattr(probes, "_BLOCK_VECTORS", 7)
+        a = estimate_diagonal(op, gaussian(), 100, 3)
         assert np.allclose(a.value, b.value, rtol=1e-13, atol=0)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matvec_in_a_later_block(self, monkeypatch, bad):
+        # a non-finite output survives even the zero entries of sparse probes
+        monkeypatch.setattr(probes, "_BLOCK_VECTORS", 4)
+        calls = []
+
+        def matvec(mat):
+            calls.append(mat.shape[1])
+            out = mat.copy()
+            if len(calls) == 3:
+                out[1, 2] = bad
+            return out
+
+        op = MatrixFreeOperator(5, matvec)
+        with pytest.raises(ValueError, match=r"non-finite .* counters \[8, 12\)"):
+            estimate_diagonal(op, sparse_rademacher(3.0), 20, 0)
+        assert calls == [4, 4, 4]
 
     def test_n_samples_positive(self):
         op = make_test_matrix("tridiag", 4, 0.5)

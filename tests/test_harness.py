@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from diagmc import probes
 from diagmc.estimators import estimate_diagonal, estimate_diagonal_normalized
 from diagmc.harness import (
     DEFAULT_N_GRID,
@@ -110,6 +111,19 @@ class TestNormalizedErrorLaw:
         for r in range(2):
             est = estimate_diagonal(op, rademacher(), 5, RngState(13, r * 5))
             assert errors[r] == pytest.approx(est.value[4] - exact[4], rel=1e-12)
+
+    @pytest.mark.parametrize("name", ["normalized_gaussian", "sparse"])
+    def test_blocks_splitting_replicates_match_direct(self, monkeypatch, name):
+        # 3-vector blocks do not divide N = 7, so replicates span blocks
+        monkeypatch.setattr(probes, "_BLOCK_VECTORS", 3)
+        op = make_test_matrix("tridiag", 12, 0.5)
+        spec = EstimatorSpec(name, 3.0 if name == "sparse" else None)
+        n_samples, index, seed = 7, 5, 21
+        errors = replicate_component_errors(op, index, spec, n_samples, 4, seed)
+        exact = op.exact_diag()
+        for r in range(4):
+            est = spec.estimate(op, n_samples, RngState(seed, r * n_samples))
+            assert errors[r] == pytest.approx(est.value[index] - exact[index], rel=1e-12)
 
     def test_diagonal_component_rejected(self):
         op = make_test_matrix("tridiag", 5, 0.5)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from diagmc import probes
 from diagmc.operators import (
     CooSymmetric,
     DecayingRankOne,
@@ -291,6 +292,22 @@ class TestRowSums:
     def test_matrix_free_refused(self):
         with pytest.raises(UnsupportedOperationError):
             MatrixFreeOperator(3, lambda m: m).row_sums()
+
+    @pytest.mark.parametrize("rows_per_block", [1, 4, 5, 30])
+    def test_dense_row_blocks_equal_one_reduction(self, monkeypatch, rows_per_block):
+        monkeypatch.setattr(probes, "_BLOCK_VECTORS", rows_per_block)
+        m = np.random.default_rng(rows_per_block).standard_normal((21, 21))
+        m = m + m.T
+        whole = np.abs(m)
+        np.fill_diagonal(whole, 0.0)
+        assert np.array_equal(DenseSymmetric.from_dense(m).row_sums()[2], whole.sum(axis=1))
+
+    def test_dense_extra_memory_is_one_row_block(self, peak_bytes):
+        m = np.random.default_rng(3).standard_normal((2048, 2048))
+        op = DenseSymmetric.from_dense(m + m.T)
+        del m
+        _, peak = peak_bytes(op.row_sums)
+        assert peak < 0.6 * 2048 * 2048 * 8  # the matrix's bytes
 
 
 class TestOperatorProtocol:

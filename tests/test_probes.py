@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from diagmc.probes import (
     GAUSSIAN,
+    _block_counts,
     ProbeDistribution,
     RngState,
     derive_seed,
@@ -197,3 +198,21 @@ def test_gaussian_block_is_standard_normal():
     # empirical CDF at a few points
     for x, expected in [(-1.0, 0.158655), (0.0, 0.5), (2.0, 0.977250)]:
         assert abs(np.mean(draws < x) - expected) < 0.005
+
+
+class TestBlockCounts:
+    @pytest.mark.parametrize("n", [1, 100, 4096, 4097, 50_000, 10**6, 4 * 10**6])
+    @pytest.mark.parametrize("total", [1, 37, 1024, 5000])
+    def test_sizes_sum_to_total_within_both_limits(self, n, total):
+        sizes = list(_block_counts(n, total))
+        assert sum(sizes) == total and min(sizes) >= 1
+        for size in sizes:
+            assert size == 1 or (size <= 1024 and 8 * n * size <= 2**25)
+        # every block but the last is full
+        assert len(set(sizes[:-1])) <= 1 and sizes[-1] <= sizes[0]
+
+    def test_small_vectors_keep_1024_per_block(self):
+        assert list(_block_counts(4096, 2500)) == [1024, 1024, 452]
+
+    def test_huge_vectors_go_one_at_a_time(self):
+        assert list(_block_counts(10**7, 3)) == [1, 1, 1]
