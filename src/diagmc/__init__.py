@@ -50,6 +50,7 @@ from .operators import (
     make_test_matrix,
 )
 from .probes import (
+    STREAM_FORMAT,
     ProbeDistribution,
     RngState,
     derive_seed,

@@ -14,6 +14,7 @@ the order in which other probes were drawn.
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -23,6 +24,7 @@ __all__ = [
     "GAUSSIAN",
     "RADEMACHER",
     "SPARSE_RADEMACHER",
+    "STREAM_FORMAT",
     "ProbeDistribution",
     "ProbeMoments",
     "RngState",
@@ -41,9 +43,18 @@ RADEMACHER = "rademacher"
 SPARSE_RADEMACHER = "sparse_rademacher"
 GAUSSIAN = "gaussian"
 
+# Version of the map from raw Philox words to entries.  Format 2 gives the
+# Rademacher, sparse and uniform entries of format 1 bit for bit; Gaussian
+# entries differ from format 1 (cos/sin Box-Muller) by at most 2^-50 times
+# their pair's radius.
+STREAM_FORMAT = 2
+
 _MASK64 = (1 << 64) - 1
 # float in [0, 1) from the top 53 bits of a word
 _INV53 = 2.0**-53
+# float64 bit patterns
+_SIGN_BIT = np.uint64(1 << 63)
+_MINUS_ONE_BITS = np.uint64(0xBFF0000000000000)
 
 
 def validate_sparsity(s: float) -> float:
@@ -193,40 +204,81 @@ def _raw_words(seed: int, first_word: int, n_words: int) -> np.ndarray:
     return bg.random_raw(n_words)
 
 
-def _to_uniform01(words: np.ndarray) -> np.ndarray:
-    return (words >> np.uint64(11)).astype(np.float64) * _INV53
+def _fill_rademacher(out: np.ndarray, words: np.ndarray) -> None:
+    # u < 1/2 exactly when bit 63 is clear: AND keeps that bit, XOR with the
+    # bits of -1.0 turns a clear bit into -1.0 and a set one into +1.0.
+    bits = out.view(np.uint64)
+    np.bitwise_and(words[:, : len(out)].T, _SIGN_BIT, out=bits)
+    np.bitwise_xor(bits, _MINUS_ONE_BITS, out=bits)
 
 
-def _gaussian_from_words(words: np.ndarray, n: int) -> np.ndarray:
-    # Box-Muller on consecutive word pairs; each pair yields two entries.
-    pairs = (n + 1) // 2
-    w = words[:, : 2 * pairs]
+def _fill_sparse(out: np.ndarray, words: np.ndarray, s: float) -> None:
+    # u = (w >> 11) 2^-53 is exact, so u < lo exactly when w >> 11 < ceil(lo 2^53),
+    # which is w < ceil(lo 2^53) 2^11.  The upper test is written as w > T 2^11 - 1
+    # so that T = 2^53 (1 - lo rounding to 1: no positive entries) cannot overflow.
+    lo = 1.0 / (2.0 * s)
+    below = np.uint64(math.ceil(lo * 2.0**53) << 11)
+    above = np.uint64((math.ceil((1.0 - lo) * 2.0**53) << 11) - 1)
+    w = words[:, : len(out)]
+    sign = (w > above).view(np.int8)
+    np.subtract(sign, (w < below).view(np.int8), out=sign)
+    np.multiply(sign.T, math.sqrt(s), out=out)
+
+
+def _fill_uniform(out: np.ndarray, words: np.ndarray, low: float, high: float) -> None:
+    # u = m 2^-53 with m the top 53 bits, then low + (high - low) u, as in format 1
+    np.right_shift(words, np.uint64(11), out=words)
+    np.multiply(words[:, : len(out)].T, _INV53, out=out)
+    out *= high - low
+    out += low
+
+
+def _fill_gaussian(out: np.ndarray, words: np.ndarray) -> None:
+    # Box-Muller on consecutive word pairs (u1, u2); each pair yields the two
+    # entries r cos(2 pi u2), r sin(2 pi u2).  They are built from the
+    # half-angle tangent t = tan(pi u2), which is vectorised where cos and sin
+    # are not: with d = r / (1 + t^2), r (1 - t^2) / (1 + t^2) = 2 d - r and
+    # r 2 t / (1 + t^2) = 2 t d.  No array changes dtype in place (numpy
+    # would copy it), so the radius goes to the cosine rows of ``out`` and
+    # t and d take the slots of the words already read.
+    pairs, half = (len(out) + 1) // 2, len(out) // 2
+    cos, sin = out[0::2], out[1::2]
+    np.right_shift(words, np.uint64(11), out=words)
+    u1, u2 = words[:, 0 : 2 * pairs : 2], words[:, 1 : 2 * pairs : 2]
     # u1 in (0, 1] so the log is finite
-    u1 = ((w[:, 0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * _INV53
-    u2 = _to_uniform01(w[:, 1::2])
-    radius = np.sqrt(-2.0 * np.log(u1))
-    angle = (2.0 * np.pi) * u2
-    z = np.empty((len(words), 2 * pairs))
-    z[:, 0::2] = radius * np.cos(angle)
-    z[:, 1::2] = radius * np.sin(angle)
-    return z[:, :n]
+    u1 += np.uint64(1)
+    np.multiply(u1.T, _INV53, out=cos)
+    np.log(cos, out=cos)
+    cos *= -2.0
+    np.sqrt(cos, out=cos)
+    slots = words.view(np.float64)
+    t, d = slots[:, 0 : 2 * pairs : 2], slots[:, 1 : 2 * pairs : 2]
+    # pi 2^-53 is exact, so this is the rounded half angle pi u2 of format 1
+    np.multiply(u2, math.pi * _INV53, out=t)
+    np.tan(t, out=t)
+    np.multiply(t, t, out=d)
+    d += 1.0
+    np.divide(cos.T, d, out=d)
+    d *= 2.0
+    np.multiply(t[:, :half].T, d[:, :half].T, out=sin)
+    np.subtract(d.T, cos, out=cos)
 
 
 def _sample_block(
-    n: int, state: RngState, count: int, entries: Callable[[np.ndarray, int], np.ndarray]
+    n: int, state: RngState, count: int, fill: Callable[[np.ndarray, np.ndarray], None]
 ) -> tuple[np.ndarray, RngState]:
-    # The word window shared by every public sampler: vector j of the block
-    # is built by ``entries`` from the raw words of counter ``state.counter + j``
-    # (one row per vector), and is returned as column j.
+    # The word window shared by every public sampler: ``fill`` writes vector j
+    # of the block, built from the raw words of counter ``state.counter + j``
+    # (row j of its second argument), into column j of the (n, count) block.
     if n < 1:
         raise ValueError("vector length must be at least 1")
     if count < 0:
         raise ValueError("count must be nonnegative")
-    if count == 0:
-        return np.empty((n, 0)), state
-    w = _words_per_probe(n)
-    words = _raw_words(state.seed, state.counter * w, count * w).reshape(count, w)
-    return np.ascontiguousarray(entries(words, n).T), state.advance(count)
+    out = np.empty((n, count))
+    if count:
+        w = _words_per_probe(n)
+        fill(out, _raw_words(state.seed, state.counter * w, count * w).reshape(count, w))
+    return out, state.advance(count)
 
 
 def sample_probe_block(
@@ -237,18 +289,13 @@ def sample_probe_block(
     Column ``j`` is exactly the probe addressed by ``state.counter + j``; the
     block decomposition has no effect on the values drawn.
     """
-
-    def entries(words, n):
-        if dist.kind == GAUSSIAN:
-            return _gaussian_from_words(words, n)
-        u = _to_uniform01(words[:, :n])
-        if dist.kind == RADEMACHER:
-            return np.where(u < 0.5, -1.0, 1.0)
-        lo = 1.0 / (2.0 * dist.s)
-        root = math.sqrt(dist.s)
-        return np.where(u < lo, -root, np.where(u >= 1.0 - lo, root, 0.0))
-
-    return _sample_block(n, state, count, entries)
+    if dist.kind == GAUSSIAN:
+        fill = _fill_gaussian
+    elif dist.kind == RADEMACHER:
+        fill = _fill_rademacher
+    else:
+        fill = partial(_fill_sparse, s=dist.s)
+    return _sample_block(n, state, count, fill)
 
 
 def sample_probe(
@@ -267,6 +314,4 @@ def sample_uniform_block(
     Shares the counter discipline of :func:`sample_probe_block`; used for
     sampling gradient-evaluation points in the sensitivity-metric estimator.
     """
-    return _sample_block(
-        n, state, count, lambda words, n: low + (high - low) * _to_uniform01(words[:, :n])
-    )
+    return _sample_block(n, state, count, partial(_fill_uniform, low=low, high=high))

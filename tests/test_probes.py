@@ -1,12 +1,16 @@
 """Probe-generation tests: laws, moments, determinism, counter addressing."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diagmc import probes
 from diagmc.probes import (
     GAUSSIAN,
+    STREAM_FORMAT,
     _block_counts,
     ProbeDistribution,
     RngState,
@@ -119,9 +123,10 @@ class TestDeterminism:
     GOLDEN = {
         "rademacher": [1.0, 1.0, 1.0, -1.0, -1.0, -1.0],
         "sparse3": [0.0, 0.0, 0.0, 0.0, -1.7320508075688772, 0.0],
+        # stream format 2
         "gaussian": [
-            0.04538458855018686, -0.8841466673023726, -0.12043068969508121,
-            1.1592929956103182, -0.8020029708724921, 2.1359433518840056,
+            0.0453845885501869, -0.8841466673023727, -0.1204306896950813,
+            1.1592929956103182, -0.8020029708724918, 2.1359433518840056,
         ],
     }
 
@@ -216,3 +221,116 @@ class TestBlockCounts:
 
     def test_huge_vectors_go_one_at_a_time(self):
         assert list(_block_counts(10**7, 3)) == [1, 1, 1]
+
+
+def _format1_block(kind, n, state, count, s=1.0, low=-1.0, high=1.0):
+    """Stream format 1, kept as the reference: float uniforms compared with
+    ``np.where`` and cos/sin Box-Muller.  Returns the (n, count) block and, for
+    Gaussians, the radius of each entry's pair."""
+    w = probes._words_per_probe(n)
+    words = probes._raw_words(state.seed, state.counter * w, count * w).reshape(count, w)
+    u = (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    radius = None
+    if kind == "rademacher":
+        z = np.where(u[:, :n] < 0.5, -1.0, 1.0)
+    elif kind == "sparse":
+        lo, root = 1.0 / (2.0 * s), math.sqrt(s)
+        z = np.where(u[:, :n] < lo, -root, np.where(u[:, :n] >= 1.0 - lo, root, 0.0))
+    elif kind == "uniform":
+        z = low + (high - low) * u[:, :n]
+    else:
+        pairs = (n + 1) // 2
+        u1 = u[:, 0 : 2 * pairs : 2] + 2.0**-53
+        r = np.sqrt(-2.0 * np.log(u1))
+        angle = (2.0 * np.pi) * u[:, 1 : 2 * pairs : 2]
+        z = np.empty((count, 2 * pairs))
+        z[:, 0::2] = r * np.cos(angle)
+        z[:, 1::2] = r * np.sin(angle)
+        z = z[:, :n]
+        radius = np.repeat(r, 2, axis=1)[:, :n].T
+    return z.T, radius
+
+
+def _format2_block(kind, n, state, count, s=1.0):
+    if kind == "uniform":
+        return sample_uniform_block(n, state, count, low=-0.5, high=2.0)[0]
+    dist = {"rademacher": rademacher(), "sparse": sparse_rademacher(s), "gaussian": gaussian()}[kind]
+    return sample_probe_block(dist, n, state, count)[0]
+
+
+def _assert_matches_format1(kind, n, state, count, s=1.0):
+    block = _format2_block(kind, n, state, count, s)
+    reference, radius = _format1_block(kind, n, state, count, s, low=-0.5, high=2.0)
+    if kind == "gaussian":
+        assert np.all(np.abs(block - reference) <= 2.0**-50 * radius)
+    else:
+        assert np.array_equal(block, reference)
+    return block, radius
+
+
+class TestStreamFormat2:
+    def test_version_is_exported(self):
+        import diagmc
+
+        assert STREAM_FORMAT == diagmc.STREAM_FORMAT == 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 70),
+        start=st.integers(0, 2**40),
+        count=st.integers(1, 40),
+        s=st.sampled_from([1.0, 2.0, 2.5, 3.0, 10.0, 50.0]),
+        kind=st.sampled_from(["rademacher", "sparse", "uniform", "gaussian"]),
+    )
+    def test_matches_format1(self, n, start, count, s, kind):
+        _assert_matches_format1(kind, n, RngState(derive_seed(n, start), start), count, s)
+
+    # Philox words where the maps from words to entries change branch: 0 gives
+    # u = 0 (u1 = 2^-53, the largest radius), 2^63 gives u = 1/2 (the pole of
+    # tan(pi u2)), 2^64 - 1 gives u = 1 - 2^-53 (u1 = 1, radius 0).
+    EDGE = [0, 1 << 63, (1 << 64) - 1]
+
+    @staticmethod
+    def _feed(monkeypatch, words):
+        row = np.array(words, dtype=np.uint64)
+        monkeypatch.setattr(probes, "_raw_words", lambda seed, first, count: np.resize(row, count))
+
+    def test_edge_words_gaussian(self, monkeypatch):
+        pairs = [(a, b) for a in self.EDGE for b in self.EDGE]
+        self._feed(monkeypatch, [word for pair in pairs for word in pair] + [0, 0])
+        block, radius = _assert_matches_format1("gaussian", 18, RngState(0), 2)
+        assert np.array_equal(block[:, 0], block[:, 1])
+        assert np.all(np.isfinite(block))
+        z, r = block[:, 0].reshape(9, 2), radius[0::2, 0]
+        assert r[0] == r[1] == r[2] == math.sqrt(-2.0 * math.log(2.0**-53))
+        assert np.all(r[6:] == 0.0) and np.all(z[6:] == 0.0)
+        # |cos|, |sin| <= 1, and the signs of angles 0, pi and 2 pi (1 - 2^-53)
+        assert np.all(np.abs(z[:6]) <= r[:6, None])
+        assert np.array_equal(np.sign(z[:6]), np.tile([[1, 0], [-1, 1], [1, -1]], (2, 1)))
+
+    @pytest.mark.parametrize("s", [1.0, 2.0, 2.5, 3.0, 10.0, 50.0, 1e17])
+    def test_edge_words_sparse_and_thresholds(self, monkeypatch, s):
+        lo = 1.0 / (2.0 * s)
+        thresholds = [math.ceil(lo * 2.0**53), math.ceil((1.0 - lo) * 2.0**53)]
+        words = self.EDGE + [(t << 11) + d for t in thresholds for d in (-1, 0) if t < 2**53]
+        self._feed(monkeypatch, words)
+        block, _ = _assert_matches_format1("sparse", len(words), RngState(0), 1, s)
+        root = math.sqrt(s)
+        assert block[:3, 0].tolist() == [-root, 0.0 if s > 1 else root, root if s < 1e17 else 0.0]
+
+    @pytest.mark.parametrize("kind", ["rademacher", "uniform"])
+    def test_edge_words_rademacher_and_uniform(self, monkeypatch, kind):
+        self._feed(monkeypatch, self.EDGE + [(1 << 63) - 1])
+        block, _ = _assert_matches_format1(kind, 4, RngState(0), 1)
+        if kind == "rademacher":
+            assert block[:, 0].tolist() == [-1.0, 1.0, 1.0, -1.0]
+        else:
+            assert block[0, 0] == -0.5 and block[1, 0] == 0.75 and block[2, 0] < 2.0
+
+
+@pytest.mark.parametrize("kind", ["rademacher", "sparse", "gaussian", "uniform"])
+def test_block_peak_memory(peak_bytes, kind):
+    # raw words and the returned block, plus at most a quarter block of scratch
+    block, peak = peak_bytes(lambda: _format2_block(kind, 50_000, RngState(3), 64, s=3.0))
+    assert block.shape == (50_000, 64)
+    assert peak <= 2.5 * block.nbytes
