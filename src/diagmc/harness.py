@@ -171,6 +171,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.replicates < 1:
             raise ValueError("replicate count must be at least 1")
+        min_n = 1 if self.matrix == "dgsm_quadratic" else 2
+        if self.n < min_n:
+            raise ValueError(f"{self.matrix} needs n >= {min_n}, got {self.n}")
+        if self.delta is not None and not (0.0 < self.delta < 1.0):
+            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
         grid = tuple(int(v) for v in self.n_grid)
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("the sample-size grid must be strictly increasing")
@@ -178,6 +183,8 @@ class ExperimentConfig:
             raise ValueError("sample sizes must be positive")
         object.__setattr__(self, "n_grid", grid)
         object.__setattr__(self, "thetas", tuple(float(t) for t in self.thetas))
+        if not all(map(math.isfinite, self.thetas)):
+            raise ValueError(f"thetas must be finite, got {self.thetas}")
         if self.matrix in TEST_MATRIX_KINDS:
             lo, hi = TEST_MATRIX_KINDS[self.matrix].theta_range
             for t in self.thetas:

@@ -9,11 +9,15 @@ value must be finite.  Parse failures carry the offending line number.
 
 import numpy as np
 
-from .operators import DENSE_LIMIT, CooSymmetric, DenseSymmetric, SymmetricOperator
+from .operators import (
+    DENSE_LIMIT,
+    AsymmetricMatrixError,
+    CooSymmetric,
+    DenseSymmetric,
+    SymmetricOperator,
+)
 
 __all__ = ["MatrixMarketError", "load_matrix_market"]
-
-_SYM_TOL = 1e-12
 
 
 class MatrixMarketError(ValueError):
@@ -46,22 +50,6 @@ def _data_lines(lines: list[str], start: int):
         if not stripped or stripped.startswith("%"):
             continue
         yield lineno + 1, stripped
-
-
-def _general_operator(m: np.ndarray, line_of) -> DenseSymmetric:
-    # ``m`` holds every entry of a general file, which must be symmetric
-    # already; ``line_of(i, j)`` names the line an asymmetric entry came from.
-    scale = float(np.max(np.abs(m))) if m.size else 0.0
-    gap = np.abs(m - m.T)
-    bad = np.argwhere(gap > _SYM_TOL * max(scale, 1e-300))
-    if bad.size:
-        i, j = (int(v) for v in bad[0])
-        raise MatrixMarketError(
-            f"asymmetric entries: A[{i + 1},{j + 1}]={m[i, j]:g} vs "
-            f"A[{j + 1},{i + 1}]={m[j, i]:g}",
-            line_of(i, j),
-        )
-    return DenseSymmetric._wrap(0.5 * (m + m.T))
 
 
 def load_matrix_market(path) -> SymmetricOperator:
@@ -146,6 +134,8 @@ def load_matrix_market(path) -> SymmetricOperator:
             raise MatrixMarketError(
                 f"declared {nnz} entries but found {len(vals)}", len(lines)
             )
+        # arrays replace the lists before the operator is built, releasing them
+        rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
         vals = finite(vals)
         if symmetry == "symmetric":
             op = CooSymmetric(n, rows, cols, vals)
@@ -153,36 +143,39 @@ def load_matrix_market(path) -> SymmetricOperator:
         m = np.zeros((n, n))
         np.add.at(m, (rows, cols), vals)
 
-        def entry_line(i: int, j: int) -> int:
+        def line_of(i: int, j: int) -> int:
             # the first entry at (i, j), else the first at (j, i)
-            r, c = np.asarray(rows), np.asarray(cols)
-            return value_line(int(np.argmax(2 * ((r == i) & (c == j)) + ((r == j) & (c == i)))))
-
-        return _general_operator(m, entry_line)
-
-    # array format: column-major dense values, lower triangle only when symmetric
-    values = []
-    for lineno, text in data:
-        for token in text.split():
-            try:
-                values.append(parse_value(token))
-            except ValueError:
-                raise MatrixMarketError(f"cannot parse value {token!r}", lineno) from None
-    if symmetry == "symmetric":
-        expected_count = n * (n + 1) // 2
+            at = np.argmax(2 * ((rows == i) & (cols == j)) + ((rows == j) & (cols == i)))
+            return value_line(int(at))
     else:
-        expected_count = n * n
-    if len(values) != expected_count:
-        raise MatrixMarketError(
-            f"expected {expected_count} array values, found {len(values)}", len(lines)
-        )
-    values = finite(values)
-    if symmetry == "general":
+        # array format: column-major dense values, lower triangle only when symmetric
+        values = []
+        for lineno, text in data:
+            for token in text.split():
+                try:
+                    values.append(parse_value(token))
+                except ValueError:
+                    raise MatrixMarketError(f"cannot parse value {token!r}", lineno) from None
+        expected_count = n * (n + 1) // 2 if symmetry == "symmetric" else n * n
+        if len(values) != expected_count:
+            raise MatrixMarketError(
+                f"expected {expected_count} array values, found {len(values)}", len(lines)
+            )
+        values = finite(values)
+        if symmetry == "symmetric":
+            # the column-major lower triangle is the row-major upper one, mirrored
+            m = np.zeros((n, n))
+            upper = np.triu_indices(n)
+            m[upper] = values
+            m.T[upper] = values
+            return DenseSymmetric._wrap(m)
         m = values.reshape((n, n), order="F")
-        return _general_operator(m, lambda i, j: value_line(j * n + i))
-    # the column-major lower triangle is the row-major upper one, mirrored
-    m = np.zeros((n, n))
-    upper = np.triu_indices(n)
-    m[upper] = values
-    m.T[upper] = values
-    return DenseSymmetric._wrap(m)
+
+        def line_of(i: int, j: int) -> int:
+            return value_line(j * n + i)
+
+    # a general file must hold symmetric entries already
+    try:
+        return DenseSymmetric.from_dense(m)
+    except AsymmetricMatrixError as err:
+        raise MatrixMarketError(str(err), line_of(err.i, err.j)) from None

@@ -166,7 +166,7 @@ class TestNormwiseConstants:
 
 class TestMillionTridiagonal:
     # Estimated and planned under the block policy's memory bound.  Measured
-    # peaks: 172 MiB (Rademacher), 229 MiB (normalized), 176 MiB (constants).
+    # peaks: 172 MiB (Rademacher), 229 MiB (normalized), 61 MiB (constants).
     # The estimate caps sit below the 397 MiB and 580 MiB that one block of
     # all 16 probes takes.
     N_SAMPLES = 16
@@ -187,7 +187,7 @@ class TestMillionTridiagonal:
 
     def test_planned(self, op, peak_bytes):
         nc, peak = peak_bytes(lambda: bounds.normwise_constants(op))
-        assert peak < 256 * 2**20
+        assert peak < 96 * 2**20
         closed = make_test_matrix("tridiag", 3, 0.5).analytic_constants()
         assert nc.k1 == closed.k1 and nc.k2 == closed.k2 and nc.d == 10**6 - 1
         assert bounds.plan_samples_normwise(nc, 0.1, 1e-6) >= 1

@@ -254,6 +254,19 @@ class TestExperiment:
         code, _, _ = _run(capsys, "experiment", "--id", "9")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("argv,message", [
+        (("--id", "1", "--n", "1"), "rank1 needs n >= 2, got 1"),
+        (("--id", "4", "--n", "0"), "dgsm_quadratic needs n >= 1, got 0"),
+        (("--id", "1", "--delta", "2"), "delta must lie in (0, 1), got 2.0"),
+        (("--id", "2", "--thetas", "nan"), "thetas must be finite"),
+    ], ids=["family-n", "dgsm-n", "delta", "theta"])
+    def test_bad_config_is_usage_error(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "exp.csv"
+        code, _, err = _run(capsys, "experiment", *argv, "--replicates", "1",
+                            "--n-grid", "16", "--out", str(out))
+        assert code == EXIT_USAGE and err.startswith("usage error:") and message in err
+        assert not out.exists()
+
 
 class TestParsing:
     def test_bad_test_matrix_spec(self, capsys):
@@ -268,6 +281,14 @@ class TestParsing:
             capsys, "estimate", "--test-matrix", "hilbert:10:0.5", "--samples", "1",
         )
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("argv", [
+        ("bounds", "--test-matrix", "rank1:50:inf"),
+        ("plan", "--test-matrix", "tridiag:100:nan", "--eps", "0.1", "--delta", "0.1"),
+    ], ids=["bounds-inf", "plan-nan"])
+    def test_non_finite_theta_is_data_error(self, capsys, argv):
+        code, out, err = _run(capsys, *argv)
+        assert code == EXIT_DATA and out == "" and "theta must be finite" in err
 
     def test_too_small_dimension_is_data_error(self, capsys):
         code, _, _ = _run(

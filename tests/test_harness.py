@@ -207,6 +207,17 @@ class TestConfigs:
                 distributions=(EstimatorSpec("rademacher"),),
             )
 
+    @pytest.mark.parametrize("override,match", [
+        (dict(n=1), "tridiag needs n >= 2"),
+        (dict(matrix="dgsm_quadratic", thetas=(), n=0), "dgsm_quadratic needs n >= 1"),
+        (dict(delta=0.0), "delta"),
+        (dict(delta=float("nan")), "delta"),
+        (dict(thetas=(0.5, float("inf"))), "thetas must be finite"),
+    ], ids=["family-n", "dgsm-n", "delta-zero", "delta-nan", "theta-inf"])
+    def test_invalid_config_rejected(self, override, match):
+        with pytest.raises(ValueError, match=match):
+            _small_config(**override)
+
     def test_standard_defaults(self):
         exp1 = standard_experiment_configs(1)
         assert [c.matrix for c in exp1] == ["rank1", "decay", "tridiag"]

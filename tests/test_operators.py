@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diagmc import probes
 from diagmc.operators import (
+    AsymmetricMatrixError,
     CooSymmetric,
     DecayingRankOne,
     DenseSymmetric,
@@ -163,6 +166,12 @@ class TestConstruction:
         make_test_matrix(kind, 10, theta)
         assert not recwarn.list
 
+    @pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("kind", ["rank1", "decay", "tridiag"])
+    def test_non_finite_theta_rejected(self, kind, theta):
+        with pytest.raises(ValueError, match="theta must be finite"):
+            make_test_matrix(kind, 10, theta)
+
 
 class TestDenseSymmetric:
     def test_packed_count(self):
@@ -189,6 +198,13 @@ class TestDenseSymmetric:
         m = np.array([[1.0, 1.0], [1.5, 1.0]])
         with pytest.raises(ValueError, match="asymmetric"):
             DenseSymmetric.from_dense(m)
+
+    def test_asymmetry_names_the_first_pair_in_row_major_order(self):
+        m = np.eye(3)
+        m[2, 1], m[2, 0] = 0.25, 0.5  # row-major order meets A[1,3] before A[2,3]
+        with pytest.raises(AsymmetricMatrixError, match=r"A\[1,3\]=0 vs A\[3,1\]=0.5") as err:
+            DenseSymmetric.from_dense(m)
+        assert (err.value.i, err.value.j) == (0, 2)
 
     def test_tiny_asymmetry_tolerated(self):
         m = np.array([[1.0, 0.5], [0.5 * (1 + 1e-14), 1.0]])
@@ -224,6 +240,10 @@ class TestCooSymmetric:
         assert op.exact_diag().dtype == np.float64
         assert np.array_equal(op.exact_diag(), np.zeros(3))
         assert np.array_equal(op.row_sums()[2], [1.5, 0.0, 1.5])
+        # no entries at all: every reader still returns float64 zeros
+        op = CooSymmetric(3, rows=[], cols=[], values=[])
+        for got in (op.exact_diag(), *op.row_sums(), op.apply(np.ones(3)), op.to_dense()):
+            assert got.dtype == np.float64 and not np.any(got)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_rejected(self, bad):
@@ -252,6 +272,86 @@ def _split_coo(m, rng):
     rows, cols, vals = np.tile(rows, 2), np.tile(cols, 2), np.concatenate([part, vals - part])
     order = rng.permutation(vals.size)
     return CooSymmetric(m.shape[0], rows[order], cols[order], vals[order])
+
+
+def _stored_as_before(rows, cols, values):
+    # the raw layout the canonical one replaced: the entries, then the mirrors
+    # of the off-diagonal ones, duplicates kept and summed by every reader
+    off = rows != cols
+    return (np.concatenate([rows, cols[off]]), np.concatenate([cols, rows[off]]),
+            np.concatenate([values, values[off]]))
+
+
+def _reference_readers(n, rows, cols, values):
+    """exact_diag, row_sums and to_dense as computed on the raw layout."""
+    rows, cols, values = _stored_as_before(rows, cols, values)
+    diag = np.zeros(n)
+    on = rows == cols
+    np.add.at(diag, rows[on], values[on])
+    keys, slot = np.unique(rows * n + cols, return_inverse=True)
+    summed = np.bincount(slot, values)
+    r, c = np.divmod(keys, n)
+    off_abs = np.where(r != c, np.abs(summed), 0.0)
+    # bincount of no entries returns integer zeros; compare them as float64
+    sq, off_abs = (np.bincount(r, w, n).astype(np.float64) for w in (summed * summed, off_abs))
+    dense = np.zeros((n, n))
+    np.add.at(dense, (rows, cols), values)
+    return diag, (diag, sq, off_abs), dense
+
+
+# few distinct values, so sums cancel, round and reach -0.0 + 0.0
+_ENTRY_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.1, -0.1, 0.2, 0.3, 1.0, -1.0, 1e16, -1e16]),
+    st.floats(-1e3, 1e3, allow_nan=False),
+)
+
+
+@st.composite
+def _lower_entries(draw):
+    """(n, rows, cols, values): shuffled lower-triangle entries with repeated positions."""
+    n = draw(st.integers(1, 7))
+    diagonal = draw(st.booleans())
+    positions = [(i, j) for i in range(n) for j in range(i + 1) if diagonal or i != j]
+    entries = draw(st.lists(st.tuples(st.sampled_from(positions), _ENTRY_VALUES), max_size=30)
+                   if positions else st.just([]))
+    rows = np.array([i for (i, _), _ in entries], dtype=np.intp)
+    cols = np.array([j for (_, j), _ in entries], dtype=np.intp)
+    return n, rows, cols, np.array([v for _, v in entries], dtype=np.float64)
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype == np.float64 and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestCanonicalLayout:
+    @settings(max_examples=300, deadline=None)
+    @given(entries=_lower_entries())
+    def test_readers_equal_the_raw_layout_bit_for_bit(self, entries):
+        n, rows, cols, values = entries
+        op = CooSymmetric(n, rows, cols, values)
+        diag, sums, dense = _reference_readers(n, rows, cols, values)
+        assert _same_bits(op.exact_diag(), diag)
+        assert all(_same_bits(have, want) for have, want in zip(op.row_sums(), sums))
+        assert _same_bits(op.to_dense(), dense)
+
+    @settings(max_examples=300, deadline=None)
+    @given(entries=_lower_entries(), seed=st.integers(0, 2**32 - 1))
+    def test_apply_matches_the_dense_product(self, entries, seed):
+        n, rows, cols, values = entries
+        op = CooSymmetric(n, rows, cols, values)
+        x = np.random.default_rng(seed).standard_normal((n, 3))
+        dense = op.to_dense()
+        scale = np.abs(dense) @ np.abs(x)
+        assert np.all(np.abs(op.apply(x) - dense @ x) <= 1e-13 * scale)
+        assert np.all(np.abs(op.apply(x[:, 1]) - dense @ x[:, 1]) <= 1e-13 * scale[:, 1])
+
+    def test_storage_is_sorted_with_duplicates_summed(self):
+        op = CooSymmetric(3, rows=[2, 1, 2, 0, 2], cols=[0, 1, 0, 0, 2],
+                          values=[0.1, 2.0, 0.2, 1.0, -0.0])
+        assert op._rows.tolist() == [0, 0, 1, 2, 2]
+        assert op._cols.tolist() == [0, 2, 1, 0, 2]
+        assert op._values.tolist() == [1.0, 0.1 + 0.2, 2.0, 0.1 + 0.2, 0.0]
+        assert not np.signbit(op._values[-1])  # summed from +0.0
 
 
 class TestRowSums:
