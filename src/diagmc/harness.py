@@ -248,7 +248,10 @@ def _experiment_targets(config: ExperimentConfig):
         yield math.nan, oracle, oracle.second_moment_diag(), curve
         return
     for theta in config.thetas:
-        op = make_test_matrix(config.matrix, config.n, theta)
+        with warnings.catch_warnings():
+            # the config warned about an out-of-range theta when it was made
+            warnings.filterwarnings("ignore", "theta=", UserWarning)
+            op = make_test_matrix(config.matrix, config.n, theta)
         curve = None
         if config.experiment == 1 and config.delta is not None:
             nc = bounds.normwise_constants(op, s=1.0)

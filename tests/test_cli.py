@@ -102,6 +102,15 @@ class TestEstimate:
         assert code == EXIT_DATA
         assert "not square" in err
 
+    def test_non_utf8_matrix_file_is_data_error(self, tmp_path, capsys):
+        mtx = tmp_path / "latin1.mtx"
+        mtx.write_bytes(b"%%MatrixMarket matrix coordinate real symmetric\n"
+                        b"% r\xe9sum\xe9\n1 1 1\n1 1 2.0\n")
+        code, out, err = _run(capsys, "bounds", "--matrix-file", str(mtx))
+        assert code == EXIT_DATA
+        assert out == ""
+        assert err == f"data error: cannot parse {mtx}: line 2: byte 0xe9 is not valid UTF-8\n"
+
     def test_missing_file_is_data_error(self, capsys):
         code, _, _ = _run(
             capsys, "estimate", "--matrix-file", "/nonexistent.mtx", "--samples", "1",

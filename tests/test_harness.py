@@ -207,6 +207,14 @@ class TestConfigs:
                 distributions=(EstimatorSpec("rademacher"),),
             )
 
+    def test_theta_out_of_range_warns_once_per_run(self, recwarn):
+        # the config warns when it is made; building the operator must not warn again
+        config = standard_experiment_configs(2, n=10, replicates=1, n_grid=(16,), thetas=(0.5,))[0]
+        run_experiment(config)
+        assert [str(w.message) for w in recwarn.list] == [
+            "theta=0.5 outside the documented range [0.01, 0.1] for rank1"
+        ]
+
     @pytest.mark.parametrize("override,match", [
         (dict(n=1), "tridiag needs n >= 2"),
         (dict(matrix="dgsm_quadratic", thetas=(), n=0), "dgsm_quadratic needs n >= 1"),
