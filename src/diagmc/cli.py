@@ -19,6 +19,7 @@ import sys
 from pathlib import Path
 
 from . import bounds as bounds_mod
+from .estimators import DegenerateProbeError
 from .harness import (
     _canonical_name,
     parse_estimator_spec,
@@ -27,7 +28,7 @@ from .harness import (
     write_experiment_csv,
 )
 from .matrixmarket import MatrixMarketError, load_matrix_market
-from .operators import TEST_MATRIX_KINDS, make_test_matrix
+from .operators import TEST_MATRIX_KINDS, UnsupportedOperationError, make_test_matrix
 from .probes import _BLOCK_BYTES
 
 __all__ = ["main"]
@@ -70,10 +71,7 @@ def _parse_test_matrix(spec: str):
         theta = float(theta_text)
     except ValueError:
         raise UsageError(f"cannot parse test-matrix spec {spec!r}") from None
-    try:
-        return make_test_matrix(kind, n, theta)
-    except ValueError as exc:
-        raise DataError(str(exc)) from None
+    return make_test_matrix(kind, n, theta)
 
 
 def _load_operator(args):
@@ -113,11 +111,7 @@ def _cmd_estimate(args) -> int:
     )
     if args.samples < 1:
         raise UsageError("--samples must be at least 1")
-    try:
-        est = spec.estimate(op, args.samples, args.seed)
-    except ValueError as exc:
-        raise DataError(str(exc)) from None
-    values, exact = est.value, op.exact_diag()
+    values, exact = spec.estimate(op, args.samples, args.seed).value, op.exact_diag()
     out = Path(args.out) if args.out else _default_out("diagonal.csv")
     try:
         with open(out, "w", encoding="utf-8") as fh:
@@ -150,21 +144,8 @@ def _print_component(cc) -> None:
     print(f"Psi = {'undefined (diagonal row)' if cc.psi is None else format(cc.psi, '.17g')}")
 
 
-def _bounds_command(body):
-    """A subcommand ``body(op, args)`` on the loaded operator; bound failures exit 2."""
-
-    def command(args) -> int:
-        op = _load_operator(args)
-        try:
-            return body(op, args)
-        except (ValueError, IndexError) as exc:
-            raise DataError(str(exc)) from None
-
-    return command
-
-
-@_bounds_command
-def _cmd_plan(op, args) -> int:
+def _cmd_plan(args) -> int:
+    op = _load_operator(args)
     if args.component is not None:
         spec = _parse_dist(args.dist, bounds_mod.COMPONENT_METHODS, "componentwise planning")
         cc = bounds_mod.component_constants(op, args.component)
@@ -189,8 +170,8 @@ def _cmd_plan(op, args) -> int:
     return EXIT_OK
 
 
-@_bounds_command
-def _cmd_bounds(op, args) -> int:
+def _cmd_bounds(args) -> int:
+    op = _load_operator(args)
     if args.component is not None:
         _parse_dist(args.dist, bounds_mod.COMPONENT_METHODS, "componentwise bounds")
         _print_component(bounds_mod.component_constants(op, args.component))
@@ -314,7 +295,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except DataError as exc:
+    except (DataError, ValueError, UnsupportedOperationError, DegenerateProbeError,
+            IndexError) as exc:  # IndexError: a --component out of range
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -9,8 +9,8 @@ Two estimators for ``diag(A)`` of a symmetric operator A:
 plus the gradient-outer-product estimator ``mean_k (grad f(x_k))^2`` for
 derivative-based global sensitivity metrics.
 
-Estimates hold compensated accumulator sums rather than means, so streams
-can be split across workers, updated incrementally and merged exactly up to
+Estimates hold TwoSum-compensated sums rather than means, so streams can be
+split across workers, updated incrementally and merged exactly up to
 floating-point reassociation.  Probe k of a run always consumes stream
 counter k, making batched, streamed and parallel runs probe-identical.
 
@@ -59,31 +59,12 @@ class DegenerateProbeError(RuntimeError):
     """A normalized-estimator denominator vanished (probability-zero event)."""
 
 
-class _CompensatedSum:
-    """Neumaier-compensated vector accumulator."""
-
-    __slots__ = ("total", "residual")
-
-    def __init__(self, n: int):
-        self.total = np.zeros(n)
-        self.residual = np.zeros(n)
-
-    def add(self, values: np.ndarray) -> None:
-        t = self.total + values
-        swap = np.abs(self.total) >= np.abs(values)
-        self.residual += np.where(
-            swap, (self.total - t) + values, (values - t) + self.total
-        )
-        self.total = t
-
-    def value(self) -> np.ndarray:
-        return self.total + self.residual
-
-    def copy(self) -> "_CompensatedSum":
-        out = _CompensatedSum(len(self.total))
-        out.total = self.total.copy()
-        out.residual = self.residual.copy()
-        return out
+def _two_sum(sums: np.ndarray, values: np.ndarray) -> None:
+    """Add ``values`` to ``sums = (totals, residuals)``; TwoSum keeps each exact rounding error."""
+    total = sums[0] + values
+    back = total - sums[0]
+    sums[1] += (sums[0] - (total - back)) + (values - back)
+    sums[0] = total
 
 
 class DiagonalEstimate:
@@ -102,8 +83,8 @@ class DiagonalEstimate:
         self._dim = int(dim)
         self._mode = mode
         self._count = 0
-        self._num = _CompensatedSum(dim)
-        self._den = _CompensatedSum(dim) if mode == NORMALIZED else None
+        # (totals, residuals) of the numerator and, when normalized, the denominator
+        self._sums = np.zeros((2, 2 if mode == NORMALIZED else 1, dim))
 
     @property
     def dim(self) -> int:
@@ -119,13 +100,13 @@ class DiagonalEstimate:
 
     @property
     def numerator(self) -> np.ndarray:
-        return self._num.value()
+        return self._sums[0, 0] + self._sums[1, 0]
 
     @property
     def denominator(self) -> np.ndarray:
-        if self._den is None:
+        if self._mode == UNNORMALIZED:
             raise ValueError("unnormalized estimates keep no denominator")
-        return self._den.value()
+        return self._sums[0, 1] + self._sums[1, 1]
 
     def _check_vector(self, v: np.ndarray, name: str) -> np.ndarray:
         v = np.asarray(v, dtype=np.float64)
@@ -146,9 +127,8 @@ class DiagonalEstimate:
         aprobes = np.asarray(aprobes, dtype=np.float64)
         if probes.shape != aprobes.shape or probes.ndim != 2 or probes.shape[0] != self._dim:
             raise ValueError("probe blocks must both be (n, k) arrays")
-        self._num.add((aprobes * probes).sum(axis=1))
-        if self._den is not None:
-            self._den.add((probes * probes).sum(axis=1))
+        factors = (aprobes, probes) if self._mode == NORMALIZED else (aprobes,)
+        _two_sum(self._sums, np.array([(f * probes).sum(axis=1) for f in factors]))
         self._count += probes.shape[1]
         return self
 
@@ -156,19 +136,15 @@ class DiagonalEstimate:
         """Fold another estimate (over a disjoint probe stream) into this one."""
         if other._mode != self._mode or other._dim != self._dim:
             raise ValueError("can only merge estimates of equal mode and dimension")
-        self._num.add(other._num.total)
-        self._num.add(other._num.residual)
-        if self._den is not None:
-            self._den.add(other._den.total)
-            self._den.add(other._den.residual)
+        _two_sum(self._sums, other._sums[0])
+        _two_sum(self._sums, other._sums[1])
         self._count += other._count
         return self
 
     def copy(self) -> "DiagonalEstimate":
         out = DiagonalEstimate(self._dim, self._mode)
         out._count = self._count
-        out._num = self._num.copy()
-        out._den = self._den.copy() if self._den is not None else None
+        out._sums = self._sums.copy()
         return out
 
     @property
@@ -177,14 +153,14 @@ class DiagonalEstimate:
         if self._count < 1:
             raise ValueError("estimate holds no samples yet")
         if self._mode == UNNORMALIZED:
-            return self._num.value() / self._count
-        den = self._den.value()
+            return self.numerator / self._count
+        den = self.denominator
         if np.any(np.abs(den) < _DEGENERATE_DENOMINATOR):
             raise DegenerateProbeError(
                 "normalized-estimator denominator vanished; this signals a "
                 "misused or repeated probe stream"
             )
-        return self._num.value() / den
+        return self.numerator / den
 
 
 def _resolve_state(seed: Union[int, RngState]) -> RngState:

@@ -317,7 +317,7 @@ def standard_experiment_configs(
     thetas: Optional[Sequence[float]] = None,
     delta: Optional[float] = None,
 ) -> list:
-    """Default configs for the standard experiments (1-4)."""
+    """Default configs for the standard experiments (1-4); a delta or thetas they ignore raises."""
     grid = tuple(n_grid) if n_grid is not None else DEFAULT_N_GRID
     if experiment == 1:
         configs = []
@@ -334,6 +334,8 @@ def standard_experiment_configs(
             ))
         return configs
     if experiment in (2, 3):
+        if delta is not None:
+            raise ValueError(f"experiment {experiment} has no bound curve; delta does not apply")
         names = {
             2: ("rademacher", "gaussian", "sparse:3", "normalized-gaussian"),
             3: ("rademacher", "sparse:3", "sparse:10", "sparse:50"),
@@ -343,9 +345,11 @@ def standard_experiment_configs(
             thetas=tuple(thetas) if thetas is not None else (0.01,),
             distributions=tuple(parse_estimator_spec(name) for name in names), n_grid=grid,
             replicates=replicates if replicates is not None else 100,
-            seed=seed, delta=delta,
+            seed=seed,
         )]
     if experiment == 4:
+        if thetas is not None:
+            raise ValueError("experiment 4 has no theta grid; thetas do not apply")
         return [ExperimentConfig(
             experiment=4, matrix="dgsm_quadratic", n=n, thetas=(),
             distributions=(EstimatorSpec("dgsm"),), n_grid=grid,
@@ -444,7 +448,10 @@ def ks_student_t(samples: Sequence[float], dof: int, alpha: float = 0.01) -> KsR
 def _component_row(op: SymmetricOperator, index: int) -> np.ndarray:
     basis = np.zeros(op.dim)
     basis[index] = 1.0
-    return op.apply(basis)
+    row = op.apply(basis)
+    if not np.isfinite(row).all():
+        raise ValueError(f"non-finite matvec values in row {index} of the operator")
+    return row
 
 
 def replicate_component_errors(

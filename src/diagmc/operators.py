@@ -5,6 +5,8 @@ for error-bound constants and exact diagonals.  Each operator reduces its own
 stored entries to the per-row sums the bounds read (``row_sums``), so no bound
 densifies a sparse operator; operators that cannot provide entries raise
 :class:`UnsupportedOperationError` from ``to_dense``/``row_sums``/``exact_diag``.
+``to_dense``, and with it the test families' ``row_sums``, raises it as well
+for n > ``DENSE_LIMIT``, before any n x n array is allocated.
 
 Three parametrised test families with analytically known diagonals and
 bound constants are provided:
@@ -107,6 +109,12 @@ class SymmetricOperator(ABC):
         raise ValueError("apply expects a vector or a 2-D column batch")
 
     def to_dense(self) -> np.ndarray:
+        """The full n x n array; refused for n > ``DENSE_LIMIT`` before it is allocated."""
+        if self._dim > DENSE_LIMIT:
+            raise UnsupportedOperationError(f"n = {self._dim} exceeds the dense cutoff {DENSE_LIMIT}")
+        return self._dense()
+
+    def _dense(self) -> np.ndarray:
         raise UnsupportedOperationError(
             f"{type(self).__name__} has no explicit-entries accessor"
         )
@@ -180,7 +188,7 @@ class DenseSymmetric(SymmetricOperator):
             raise AsymmetricMatrixError(m, *(int(v) for v in bad[0]))
         return cls._wrap(0.5 * (m + m.T))
 
-    def to_dense(self) -> np.ndarray:
+    def _dense(self) -> np.ndarray:
         return self._matrix.copy()
 
     def exact_diag(self) -> np.ndarray:
@@ -257,11 +265,7 @@ class CooSymmetric(SymmetricOperator):
                        for w in (self._values * self._values, off_abs))
         return self.exact_diag(), sq, off_abs
 
-    def to_dense(self) -> np.ndarray:
-        if self._dim > DENSE_LIMIT:
-            raise UnsupportedOperationError(
-                f"refusing to densify a sparse operator with n > {DENSE_LIMIT}"
-            )
+    def _dense(self) -> np.ndarray:
         m = np.zeros((self._dim, self._dim))
         m[self._rows, self._cols] = self._values
         return m
@@ -298,7 +302,7 @@ class IdentityPlusRankOne(_TestFamily):
     def exact_diag(self) -> np.ndarray:
         return np.full(self._dim, 1.0 + self.theta)
 
-    def to_dense(self) -> np.ndarray:
+    def _dense(self) -> np.ndarray:
         m = np.full((self._dim, self._dim), self.theta)
         m[np.diag_indices(self._dim)] += 1.0
         return m
@@ -338,7 +342,7 @@ class DecayingRankOne(_TestFamily):
     def exact_diag(self) -> np.ndarray:
         return self._x * self._x / self._xnorm2
 
-    def to_dense(self) -> np.ndarray:
+    def _dense(self) -> np.ndarray:
         return np.outer(self._x, self._x) / self._xnorm2
 
     def analytic_constants(self) -> AnalyticConstants:
@@ -374,7 +378,7 @@ class TridiagToeplitz(_TestFamily):
     def exact_diag(self) -> np.ndarray:
         return np.ones(self._dim)
 
-    def to_dense(self) -> np.ndarray:
+    def _dense(self) -> np.ndarray:
         m = np.eye(self._dim)
         idx = np.arange(self._dim - 1)
         m[idx, idx + 1] = self.theta

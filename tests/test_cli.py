@@ -4,6 +4,7 @@ import csv
 
 import pytest
 
+from diagmc import estimators
 from diagmc.cli import EXIT_DATA, EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, main
 from diagmc.estimators import estimate_diagonal
 from diagmc.operators import make_test_matrix
@@ -276,6 +277,17 @@ class TestExperiment:
         assert code == EXIT_USAGE and err.startswith("usage error:") and message in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv,message", [
+        (("--id", "2", "--delta", "0.1"), "experiment 2 has no bound curve; delta does not apply"),
+        (("--id", "3", "--delta", "0.1"), "experiment 3 has no bound curve; delta does not apply"),
+        (("--id", "4", "--thetas", "0.5"), "experiment 4 has no theta grid; thetas do not apply"),
+    ], ids=["delta-2", "delta-3", "thetas-4"])
+    def test_ignored_flag_is_usage_error(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "exp.csv"
+        code, stdout, err = _run(capsys, "experiment", *argv, "--out", str(out))
+        assert (code, stdout, err) == (EXIT_USAGE, "", f"usage error: {message}\n")
+        assert not out.exists()
+
 
 class TestParsing:
     def test_bad_test_matrix_spec(self, capsys):
@@ -298,6 +310,30 @@ class TestParsing:
     def test_non_finite_theta_is_data_error(self, capsys, argv):
         code, out, err = _run(capsys, *argv)
         assert code == EXIT_DATA and out == "" and "theta must be finite" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("bounds", "--test-matrix", "tridiag:10001:0.5"),
+        ("bounds", "--test-matrix", "decay:10001:0.5", "--component", "3"),
+        ("plan", "--test-matrix", "rank1:10001:0.1", "--eps", "0.1", "--delta", "0.1"),
+        ("experiment", "--id", "1", "--n", "10001", "--replicates", "1", "--n-grid", "16"),
+    ], ids=["bounds", "bounds-component", "plan", "experiment"])
+    def test_test_family_above_dense_cutoff_is_data_error(self, tmp_path, capsys,
+                                                          monkeypatch, argv):
+        # UnsupportedOperationError: the bound constants would densify n x n
+        monkeypatch.setenv("DIAGMC_OUTPUT_DIR", str(tmp_path))
+        code, out, err = _run(capsys, *argv)
+        assert (code, out) == (EXIT_DATA, "")
+        assert err == "data error: n = 10001 exceeds the dense cutoff 10000\n"
+        assert not any(tmp_path.iterdir())
+
+    def test_degenerate_denominator_is_data_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(estimators, "_DEGENERATE_DENOMINATOR", float("inf"))
+        code, out, err = _run(
+            capsys, "estimate", "--test-matrix", "tridiag:10:0.5", "--samples", "4",
+            "--dist", "normalized-gaussian", "--out", str(tmp_path / "d.csv"),
+        )
+        assert (code, out) == (EXIT_DATA, "")
+        assert err.startswith("data error: normalized-estimator denominator vanished")
 
     def test_too_small_dimension_is_data_error(self, capsys):
         code, _, _ = _run(

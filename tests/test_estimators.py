@@ -1,8 +1,10 @@
 """Estimator tests: exactness, replay oracles, streaming, merging, DGSM."""
 
+import copy
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diagmc import probes
@@ -203,6 +205,150 @@ class TestStreaming:
         est = DiagonalEstimate(2, UNNORMALIZED)
         with pytest.raises(ValueError, match="denominator"):
             est.denominator
+
+
+class _NeumaierSum:
+    """The previous accumulator, kept as the reference: Neumaier's branchy update."""
+
+    def __init__(self, n):
+        self.total, self.residual = np.zeros(n), np.zeros(n)
+
+    def add(self, values):
+        t = self.total + values
+        swap = np.abs(self.total) >= np.abs(values)
+        self.residual += np.where(swap, (self.total - t) + values, (values - t) + self.total)
+        self.total = t
+
+    def value(self):
+        return self.total + self.residual
+
+
+class _ReferenceEstimate:
+    """The previous DiagonalEstimate's sums, plus which components saw a non-finite sample."""
+
+    def __init__(self, n, normalized):
+        self.sums = [_NeumaierSum(n) for _ in range(2 if normalized else 1)]
+        self.count = 0
+        self.poisoned = np.zeros(n, dtype=bool)
+
+    def update_block(self, probes, aprobes):
+        for acc, factor in zip(self.sums, (aprobes, probes)):
+            block = (factor * probes).sum(axis=1)
+            acc.add(block)
+            self.poisoned |= ~np.isfinite(block)
+        self.count += probes.shape[1]
+
+    def merge(self, other):
+        for acc, theirs in zip(self.sums, other.sums):
+            acc.add(theirs.total)
+            acc.add(theirs.residual)
+        self.count += other.count
+        self.poisoned |= other.poisoned
+
+    def value(self):
+        if self.count < 1:
+            return ValueError
+        if len(self.sums) == 1:
+            return self.sums[0].value() / self.count
+        den = self.sums[1].value()
+        if np.any(np.abs(den) < 1e-300):
+            return DegenerateProbeError
+        return self.sums[0].value() / den
+
+
+def _value_or_error(est):
+    try:
+        return est.value
+    except (ValueError, DegenerateProbeError) as exc:
+        return type(exc)
+
+
+def _assert_same_bits(have, want):
+    if isinstance(want, type):
+        assert have is want
+        return
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(have), nan)
+    assert np.array_equal(have[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+
+# magnitudes from 1e-16 to 1e16 make the totals round and the residuals matter
+_ENTRY = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 3.0, 0.1, 1e-16, 1e16, -1e16, 2.0**53 + 2, 7e15]),
+    st.floats(-1e17, 1e17, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _block(draw, n, non_finite=False):
+    k = draw(st.integers(1, 3))
+    probes, aprobes = (np.array(draw(st.lists(_ENTRY, min_size=n * k, max_size=n * k)))
+                       .reshape(n, k) for _ in range(2))
+    if non_finite:
+        aprobes[draw(st.integers(0, n - 1)), 0] = draw(st.sampled_from([np.inf, -np.inf, np.nan]))
+    return probes, aprobes
+
+
+@st.composite
+def _accumulator_case(draw):
+    n = draw(st.integers(1, 3))
+    blocks = st.one_of(
+        _block(n).map(lambda b: ("update", b)),
+        _block(n).map(lambda b: ("update_block", b)),
+        _block(n, non_finite=True).map(lambda b: ("update_block", b)),
+        st.lists(_block(n), min_size=1, max_size=3).map(lambda bs: ("merge", bs)),
+        st.just(("copy", None)),
+    )
+    return n, draw(st.booleans()), draw(st.lists(blocks, min_size=1, max_size=8))
+
+
+class TestTwoSumAccumulator:
+    """TwoSum in one array gives the previous Neumaier sums' results bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_accumulator_case())
+    # merging -1 with (1e-16 + 2^53 + 2) rounds differently if residuals fold first
+    @example(case=(1, False, [
+        ("update_block", (np.ones((1, 1)), np.array([[-1.0]]))),
+        ("merge", [(np.ones((1, 1)), np.array([[v]])) for v in (1e-16, 2.0**53 + 2)]),
+    ]))
+    def test_matches_neumaier_reference(self, case):
+        n, normalized, ops = case
+        mode = NORMALIZED if normalized else UNNORMALIZED
+        est, ref = DiagonalEstimate(n, mode), _ReferenceEstimate(n, normalized)
+        with np.errstate(invalid="ignore", over="ignore"):
+            for op, arg in ops:
+                if op == "update":
+                    probes, aprobes = arg
+                    est.update(probes[:, 0], aprobes[:, 0])
+                    ref.update_block(probes[:, :1], aprobes[:, :1])
+                elif op == "update_block":
+                    est.update_block(*arg)
+                    ref.update_block(*arg)
+                elif op == "merge":
+                    other, other_ref = DiagonalEstimate(n, mode), _ReferenceEstimate(n, normalized)
+                    for block in arg:
+                        other.update_block(*block)
+                        other_ref.update_block(*block)
+                    est.merge(other)
+                    ref.merge(other_ref)
+                else:  # the copy goes on; changes to the original must not reach it
+                    est, original = est.copy(), est
+                    ref = copy.deepcopy(ref)
+                    original.update_block(np.ones((n, 1)), np.full((n, 1), 1e16))
+                assert est.n_samples == ref.count
+                _assert_same_bits(est.numerator, ref.sums[0].value())
+                if normalized:
+                    _assert_same_bits(est.denominator, ref.sums[1].value())
+                _assert_same_bits(_value_or_error(est), ref.value())
+                assert not np.isfinite(est.numerator[ref.poisoned]).any()
+
+    def test_cancellation_keeps_the_residual(self):
+        # 1e16 + 1 and 1 - 1e16 both round; each residual keeps the 1 through the merge
+        one = np.ones((1, 1))
+        est = DiagonalEstimate(1).update_block(one, [[1e16]]).update_block(one, [[1.0]])
+        other = DiagonalEstimate(1).update_block(one, [[1.0]]).update_block(one, [[-1e16]])
+        assert est.merge(other).numerator[0] == 2.0
 
 
 class TestDgsm:

@@ -22,7 +22,7 @@ from diagmc.harness import (
     standard_experiment_configs,
     write_experiment_csv,
 )
-from diagmc.operators import make_test_matrix
+from diagmc.operators import MatrixFreeOperator, make_test_matrix
 from diagmc.probes import RngState, gaussian, rademacher, sample_probe_block
 
 
@@ -135,6 +135,15 @@ class TestNormalizedErrorLaw:
             normalized_error_samples(diag_op, 0, 5, 10, 0)
         assert op.dim == 5
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_row_rejected(self, bad):
+        # estimate_diagonal refuses this operator; the replicate study must too
+        op = MatrixFreeOperator(3, lambda m: np.full_like(m, bad))
+        with pytest.raises(ValueError, match="non-finite matvec values in row 1"):
+            replicate_component_errors(op, 1, EstimatorSpec("rademacher"), 4, 3, 0)
+        with pytest.raises(ValueError, match="non-finite matvec values in row 2"):
+            normalized_error_samples(op, 2, 4, 3, 0)
+
 
 class TestSpecParsing:
     def test_round_trips(self):
@@ -244,6 +253,15 @@ class TestConfigs:
     def test_unknown_experiment(self):
         with pytest.raises(ValueError, match="unknown experiment"):
             standard_experiment_configs(7)
+
+    @pytest.mark.parametrize("experiment,override,match", [
+        (2, {"delta": 0.1}, "experiment 2 has no bound curve"),
+        (3, {"delta": 0.1}, "experiment 3 has no bound curve"),
+        (4, {"thetas": (0.5,)}, "experiment 4 has no theta grid"),
+    ])
+    def test_ignored_argument_rejected(self, experiment, override, match):
+        with pytest.raises(ValueError, match=match):
+            standard_experiment_configs(experiment, **override)
 
 
 SMALL_GRID = (16, 64)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from diagmc import probes
 from diagmc.operators import (
+    DENSE_LIMIT,
     AsymmetricMatrixError,
     CooSymmetric,
     DecayingRankOne,
@@ -408,6 +409,27 @@ class TestRowSums:
         del m
         _, peak = peak_bytes(op.row_sums)
         assert peak < 0.6 * 2048 * 2048 * 8  # the matrix's bytes
+
+    @pytest.mark.parametrize("make", [
+        lambda n: make_test_matrix("rank1", n, 0.1),
+        lambda n: make_test_matrix("decay", n, 0.5),
+        lambda n: make_test_matrix("tridiag", n, 0.5),
+        lambda n: CooSymmetric(n, [0, n - 1], [0, 0], [1.0, 0.5]),
+        lambda n: MatrixFreeOperator(n, lambda m: m),
+    ], ids=["rank1", "decay", "tridiag", "coo", "matrix-free"])
+    def test_above_dense_cutoff_refused_before_allocation(self, peak_bytes, make):
+        op = make(DENSE_LIMIT + 1)  # an n x n array would take 800 MB
+        # every row_sums but CooSymmetric's, which reads stored entries, densifies
+        calls = [op.to_dense] + ([] if isinstance(op, CooSymmetric) else [op.row_sums])
+
+        def refuse_all():
+            for call in calls:
+                with pytest.raises(UnsupportedOperationError,
+                                   match="^n = 10001 exceeds the dense cutoff 10000$"):
+                    call()
+
+        _, peak = peak_bytes(refuse_all)
+        assert peak < 2**20
 
 
 class TestOperatorProtocol:
