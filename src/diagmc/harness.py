@@ -468,9 +468,13 @@ def replicate_component_errors(
     replicates are disjoint and the study is one pass over probe blocks, which may
     split a replicate.  By symmetry the inner products use only row ``index``.
     """
+    return _row_errors(_component_row(op, index), index, spec, n_samples, replicates, seed)
+
+
+def _row_errors(row, index, spec, n_samples, replicates, seed) -> np.ndarray:
+    # replicate_component_errors given row ``index`` of the operator
     if n_samples < 1 or replicates < 1:
         raise ValueError("n_samples and replicates must be positive")
-    row = _component_row(op, index)
     a_ii = float(row[index])
     state = _resolve_state(seed)
     dist = spec.probe_distribution
@@ -479,8 +483,8 @@ def replicate_component_errors(
     num = np.zeros(replicates)
     den = np.zeros(replicates) if normalized else np.full(replicates, float(n_samples))
     done = 0
-    for count in _block_counts(op.dim, replicates * n_samples):
-        block, state = sample_probe_block(dist, op.dim, state, count)
+    for count in _block_counts(row.size, replicates * n_samples):
+        block, state = sample_probe_block(dist, row.size, state, count)
         first = done // n_samples
         owner = np.arange(done, done + count) // n_samples - first
         reps = slice(first, first + owner[-1] + 1)
@@ -508,7 +512,5 @@ def normalized_error_samples(
     off2sq = float(row @ row) - a_ii * a_ii
     if off2sq <= 0.0:
         raise ValueError("component has no off-diagonal mass; errors are zero")
-    errors = replicate_component_errors(
-        op, index, EstimatorSpec("normalized_gaussian"), n_samples, replicates, seed
-    )
+    errors = _row_errors(row, index, EstimatorSpec("normalized_gaussian"), n_samples, replicates, seed)
     return errors * math.sqrt(n_samples / off2sq)

@@ -5,8 +5,10 @@ Supports the ``coordinate`` and ``array`` formats with ``real`` or
 files must contain symmetric entries (checked to 1e-12 relative); duplicate
 coordinate entries are summed, following the format's convention, and every
 value must be finite.  Files are UTF-8 and numbers ASCII without ``_``.  One
-``np.loadtxt`` pass reads the data block; only if it fails does a line loop
-re-read the file, to name the bad line or to load what loadtxt cannot.
+``np.loadtxt`` pass reads the data block; if it fails, a second one reads the
+block without its whole-line comments.  Only if that fails too, or a check of
+what was read fails, does a line loop re-read the file, to name the bad line
+or to load what loadtxt cannot.
 """
 
 import warnings
@@ -150,29 +152,42 @@ def _scan(lines, fmt, integer, symmetry, n, count, lineno) -> SymmetricOperator:
     return _build(n, symmetry, values, np.asarray(rows, np.intp), np.asarray(cols, np.intp), at)
 
 
+def _read_block(path, uncommented: bool):
+    """``(head, values, rows, cols)`` read by one loadtxt pass; ``uncommented`` skips comment lines."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        lines = _numbered(fh)
+        head = _head(lines)
+        value = np.int64 if head[1] else np.float64
+        coordinate = head[0] == "coordinate"
+        dtype = [("i", np.int64), ("j", np.int64), ("v", value)] if coordinate else value
+        # a trailing "% ..." stays in its line, where loadtxt rejects it
+        block = (text for _, text in lines if not text.lstrip().startswith("%")) if uncommented else fh
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an empty data block warns; the line loop loads it
+            data = np.loadtxt(block, dtype=dtype, comments=None, ndmin=1)
+    if not coordinate:
+        return head, data.ravel(), None, None
+    # contiguous copies, so the structured array is freed
+    return head, data["v"].astype(np.float64), data["i"] - 1, data["j"] - 1
+
+
 def load_matrix_market(path) -> SymmetricOperator:
     """Parse a Matrix Market file into a symmetric operator.
 
     Returns a :class:`DenseSymmetric` (one full symmetric array) for
     n <= ``DENSE_LIMIT`` and a :class:`CooSymmetric` above that.
     """
-    try:  # the data block in one loadtxt pass, checked as arrays
-        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-            fmt, integer, symmetry, n, count, _ = _head(_numbered(fh))
-            value = np.int64 if integer else np.float64
-            dtype = value if fmt == "array" else [("i", np.int64), ("j", np.int64), ("v", value)]
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")  # an empty data block warns; the line loop loads it
-                data = np.loadtxt(fh, dtype=dtype, comments=None, ndmin=1)
-        rows = cols = None
-        if fmt == "coordinate":  # contiguous copies, so the structured array is freed
-            rows, cols, data = data["i"] - 1, data["j"] - 1, data["v"].astype(np.float64)
-        # np.add.at would wrap negative indices; CooSymmetric rejects entries above the diagonal
-        if data.size != count or rows is not None and (
-                min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= n):
-            raise ValueError("a wrong value count or an index out of range")
-        return _build(n, symmetry, data.ravel(), rows, cols)
-    except (ValueError, Warning):
-        pass  # the line loop names the bad line
+    for uncommented in (False, True):
+        try:
+            (_, _, symmetry, n, count, _), values, rows, cols = _read_block(path, uncommented)
+        except (ValueError, Warning):
+            continue  # perhaps a comment line: read once more without them
+        try:  # checked as arrays; CooSymmetric rejects entries above the diagonal
+            if values.size != count or rows is not None and (  # np.add.at would wrap negative indices
+                    min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= n):
+                raise ValueError("a wrong value count or an index out of range")
+            return _build(n, symmetry, values, rows, cols)
+        except ValueError:
+            break  # the line loop names the bad line
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         return _scan(lines := _numbered(fh), *_head(lines))

@@ -7,6 +7,9 @@ densifies a sparse operator; operators that cannot provide entries raise
 :class:`UnsupportedOperationError` from ``to_dense``/``row_sums``/``exact_diag``.
 ``to_dense``, and with it the test families' ``row_sums``, raises it as well
 for n > ``DENSE_LIMIT``, before any n x n array is allocated.
+``CooSymmetric``, the sparse storage, keeps jagged-diagonal slots and applies
+them to a whole (n, k) block at a time, a chunk of rows per pass; the few
+rows longer than the slots go on in a row-major overflow.
 
 Three parametrised test families with analytically known diagonals and
 bound constants are provided:
@@ -209,12 +212,30 @@ class DenseSymmetric(SymmetricOperator):
         return self._matrix @ mat
 
 
+# A sparse apply walks a block in row chunks of at most this many entries;
+# its two chunk buffers take 1 MiB next to the output.
+_APPLY_ELEMENTS = 2**16
+# A jagged-diagonal slot holds at least this many rows (or every row), so a
+# pass over the slots makes at most (stored entries) / _SLOT_ROWS iterations.
+_SLOT_ROWS = 64
+
+
 class CooSymmetric(SymmetricOperator):
-    """Coordinate-list symmetric operator built from lower-triangle entries.
+    """Sparse symmetric operator built from lower-triangle coordinate entries.
 
     Storage of choice above the dense cutoff (n > ``DENSE_LIMIT``); entries with
     ``row < col`` are rejected.  Each position of the full matrix is stored once,
-    sorted by (row, col), its entries summed in input order starting from +0.0.
+    its entries summed in input order starting from +0.0, in jagged-diagonal
+    order (Saad, *Iterative Methods for Sparse Linear Systems*, 2nd ed., 3.4):
+    ``_perm`` lists the rows by descending entry count (ties in row order), and
+    slot j, ``_cols``/``_values`` from ``_slots[j]`` to ``_slots[j + 1]``, holds
+    the j-th entry in column order of each of the first rows of ``_perm`` with
+    more than j entries.  Only slots of at least ``_SLOT_ROWS`` rows (or of every
+    row) are kept: the fewer, longer rows go on after the last slot, row by row
+    in column order, and ``_overflow`` gives the ``_perm`` position of the row of
+    each such entry.  That is 16 bytes per stored value, 8 per row and 8 more
+    per overflow entry.  Every reader sums a row's entries in column order from
+    +0.0, as a per-row ``np.bincount`` over the entries in (row, col) order does.
     """
 
     def __init__(self, dim: int, rows, cols, values):
@@ -234,40 +255,109 @@ class CooSymmetric(SymmetricOperator):
         off = rows != cols
         keys = np.concatenate([rows * dim + cols, cols[off] * dim + rows[off]])
         order = np.argsort(keys, kind="stable")  # duplicates stay in input order
-        keys, values = keys[order], np.concatenate([values, values[off]])[order]
+        keys = keys[order]  # the unsorted keys go before the values are sorted
+        values = np.concatenate([values, values[off]])[order]
         first = np.ones(keys.size, dtype=bool)
         np.not_equal(keys[1:], keys[:-1], out=first[1:])
         # temporaries are freed before the stored arrays are made: heap holes
         # below those would stay resident (+11 MB RSS at n = 5*10^4)
         del order, off
-        self._values = np.bincount(np.cumsum(first) - 1, values).astype(np.float64, copy=False)
+        values = np.bincount(np.cumsum(first) - 1, values).astype(np.float64, copy=False)
         keys = keys[first]
-        del first, values
-        self._rows, self._cols = np.divmod(keys, dim)
+        del first
+        rows, cols = np.divmod(keys, dim)
+        del keys
+        counts = np.bincount(rows, minlength=dim)
+        del rows
+        self._perm = np.argsort(-counts, kind="stable")
+        ranked, row_start = counts[self._perm], (np.cumsum(counts) - counts)[self._perm]
+        width = int(ranked[min(_SLOT_ROWS, dim) - 1])
+        # slot j is as long as the number of rows with more than j entries
+        self._slots = np.concatenate([[0], np.cumsum(dim - np.cumsum(np.bincount(counts))[:width])])
+        extra = ranked[ranked > width] - width  # the leading rows of _perm
+        self._overflow = np.repeat(np.arange(extra.size), extra)
+        # entry e of the overflow is entry width + (e - first of its row) of its row
+        spilled = np.arange(self._overflow.size) + (row_start[: extra.size] + width
+                                                    - np.cumsum(extra) + extra)[self._overflow]
+
+        def by_slot(entries):  # slot j takes entry j of each of its rows
+            out, at = np.empty_like(entries), row_start.copy()
+            for slot, rows in self._slot_rows():
+                np.take(entries, at[: rows.size], out=out[slot], mode="clip")
+                at[: rows.size] += 1
+            np.take(entries, spilled, out=out[self._slots[-1] :], mode="clip")
+            return out
+
+        self._cols = by_slot(cols)
+        del cols
+        self._values = by_slot(values)
+
+    def _slot_rows(self):
+        # each slot with its rows: the leading rows of _perm, one per entry
+        ends = self._slots.tolist()
+        for lo, hi in zip(ends[:-1], ends[1:]):
+            yield slice(lo, hi), self._perm[: hi - lo]
+
+    def _entry_rows(self) -> np.ndarray:
+        # the row of each stored value; a row's values stand in column order
+        rows = np.empty(self._cols.size, dtype=np.intp)
+        for slot, perm in self._slot_rows():
+            rows[slot] = perm
+        np.take(self._perm, self._overflow, out=rows[self._slots[-1] :])
+        return rows
 
     def _matvec(self, mat):
-        out = np.empty_like(mat)
-        for k in range(mat.shape[1]):
-            col = mat[:, k].copy()  # gathering from a contiguous column is faster
-            out[:, k] = np.bincount(self._rows, self._values * col[self._cols], self._dim)
+        n, k = mat.shape
+        if not k:
+            return np.empty((n, 0))
+        mat = np.ascontiguousarray(mat)  # one take gathers all k columns of a row
+        chunk = min(n, max(1, _APPLY_ELEMENTS // k))
+        acc, gathered = np.empty((chunk, k)), np.empty((chunk, k))
+
+        def products(lo, m):  # stored values lo..lo+m times their rows of the block
+            g = gathered[:m]
+            # mode="clip" gathers straight into the buffer, where "raise" would copy
+            np.take(mat, self._cols[lo : lo + m], axis=0, out=g, mode="clip")
+            return np.multiply(self._values[lo : lo + m, None], g, out=g)
+
+        out, base = np.empty((n, k)), self._slots[-1]
+        for lo in range(0, n, chunk):  # rows lo..hi of _perm
+            hi = min(n, lo + chunk)
+            a = acc[: hi - lo]
+            a.fill(0.0)
+            for slot, rows in self._slot_rows():
+                m = min(hi, rows.size) - lo
+                if m <= 0:  # the later slots are no longer
+                    break
+                np.add(a[:m], products(slot.start + lo, m), out=a[:m])
+            # overflow entries in storage order: add.at adds repeated positions in
+            # sequence, and at flat positions it runs several times faster
+            first, last = np.searchsorted(self._overflow, [lo, hi])
+            for e in range(first, last, chunk):
+                m = min(chunk, last - e)
+                at = (self._overflow[e : e + m, None] - lo) * k + np.arange(k)
+                np.add.at(a.reshape(-1), at.reshape(-1), products(base + e, m).reshape(-1))
+            out[self._perm[lo:hi]] = a
         return out
 
     def exact_diag(self) -> np.ndarray:
-        diag = np.zeros(self._dim)
-        on = self._rows == self._cols
-        diag[self._rows[on]] = self._values[on]
+        rows, diag = self._entry_rows(), np.zeros(self._dim)
+        on = rows == self._cols
+        diag[rows[on]] = self._values[on]
         return diag
 
     def row_sums(self):
-        off_abs = np.where(self._rows != self._cols, np.abs(self._values), 0.0)
-        # float64 even with no entries, where bincount returns integer zeros
-        sq, off_abs = (np.bincount(self._rows, w, self._dim).astype(np.float64, copy=False)
-                       for w in (self._values * self._values, off_abs))
-        return self.exact_diag(), sq, off_abs
+        diag, rows = self.exact_diag(), self._entry_rows()
+        # one weight array at a time; float64 even with no entries, where
+        # bincount returns integer zeros
+        sq = np.bincount(rows, self._values * self._values, self._dim).astype(np.float64, copy=False)
+        off_abs = np.abs(self._values)
+        off_abs[rows == self._cols] = 0.0
+        return diag, sq, np.bincount(rows, off_abs, self._dim).astype(np.float64, copy=False)
 
     def _dense(self) -> np.ndarray:
         m = np.zeros((self._dim, self._dim))
-        m[self._rows, self._cols] = self._values
+        m[self._entry_rows(), self._cols] = self._values
         return m
 
 

@@ -144,6 +144,14 @@ class TestNormalizedErrorLaw:
         with pytest.raises(ValueError, match="non-finite matvec values in row 2"):
             normalized_error_samples(op, 2, 4, 3, 0)
 
+    def test_one_row_matvec_per_t_law_suite(self):
+        calls = []
+        op = make_test_matrix("tridiag", 6, 0.5)
+        counting = MatrixFreeOperator(6, lambda m: calls.append(m.shape) or op.apply(m))
+        samples = normalized_error_samples(counting, 2, 4, 3, 0)
+        assert calls == [(6, 1)]  # one unit-vector matvec
+        assert np.array_equal(samples, normalized_error_samples(op, 2, 4, 3, 0))
+
 
 class TestSpecParsing:
     def test_round_trips(self):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diagmc import matrixmarket
 from diagmc.matrixmarket import MatrixMarketError, _head, _numbered, _scan, load_matrix_market
 from diagmc.operators import DENSE_LIMIT, AsymmetricMatrixError, CooSymmetric, DenseSymmetric
 
@@ -378,6 +379,52 @@ class TestFallbackLoads:
         assert err.value.line == 3
 
 
+class TestCommentLines:
+    """Whole-line comments in the data block are read by a second loadtxt pass."""
+
+    @pytest.mark.parametrize("fmt,n", [("coordinate", 3), ("coordinate", DENSE_LIMIT + 1), ("array", 3)])
+    def test_commented_file_never_calls_the_line_loop(self, tmp_path, monkeypatch, fmt, n):
+        if fmt == "coordinate":
+            size, body = f"{n} {n} 3", [f"{n} {n} 1.5", "2 1 -0.5", "3 3 -0.0"]
+        else:
+            size, body = "3 3", ["1.0", "0.5", "0.0", "3.0", "0.0", "-2.0"]
+        head = f"%%MatrixMarket matrix {fmt} real symmetric\n% before the size line\n{size}\n"
+        plain = _write(tmp_path, head + "\n".join(body) + "\n", "plain.mtx")
+        commented = [body[0], "% note", "   % 1 1 1", "", body[1], "%", *body[2:], "\t% last"]
+        commented = _write(tmp_path, head + "\n".join(commented) + "\n", "commented.mtx")
+        want = load_matrix_market(plain)
+
+        def refuse(*_):
+            raise AssertionError("the line loop read a valid commented file")
+        monkeypatch.setattr(matrixmarket, "_scan", refuse)
+        got = load_matrix_market(commented)
+        assert type(got) is type(want)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got.row_sums(), want.row_sums()))
+
+    @pytest.mark.parametrize("entry,message", [("3 1 0.5", "out of range"),
+                                               ("1 2 0.5", "above the diagonal")])
+    def test_a_failed_check_goes_straight_to_the_line_loop(self, tmp_path, monkeypatch, entry, message):
+        # loadtxt read the block, so it held no comment line: a second pass would read the same
+        path = _write(tmp_path, f"%%MatrixMarket matrix coordinate real symmetric\n2 2 2\n1 1 1.0\n{entry}\n")
+        passes = []
+        read = matrixmarket._read_block
+        monkeypatch.setattr(matrixmarket, "_read_block", lambda *args: passes.append(args) or read(*args))
+        with pytest.raises(MatrixMarketError, match=message) as err:
+            load_matrix_market(path)
+        assert err.value.line == 4 and len(passes) == 1
+
+    def test_trailing_comment_is_an_error_naming_its_line(self, tmp_path):
+        path = _write(tmp_path, """%%MatrixMarket matrix coordinate real symmetric
+2 2 2
+% a whole-line comment
+1 1 1.0
+2 1 0.5 % not a whole-line comment
+""")
+        with pytest.raises(MatrixMarketError, match="coordinate entry needs") as err:
+            load_matrix_market(path)
+        assert err.value.line == 5
+
+
 def test_sparse_load_memory_is_a_small_multiple_of_the_stored_operator(tmp_path, peak_bytes):
     # a line-by-line parse held the file's lines and a Python object per
     # number, about 6x the operator; one loadtxt pass over the open file
@@ -392,7 +439,7 @@ def test_sparse_load_memory_is_a_small_multiple_of_the_stored_operator(tmp_path,
     path = _write(tmp_path, "\n".join(lines) + "\n")
     op, peak = peak_bytes(lambda: load_matrix_market(path))
     assert isinstance(op, CooSymmetric)
-    stored = op._rows.nbytes + op._cols.nbytes + op._values.nbytes
+    stored = sum(a.nbytes for a in vars(op).values() if isinstance(a, np.ndarray))
     assert peak <= 3 * stored, (peak, stored)
 
 
@@ -605,7 +652,7 @@ def _matrix_market_file(draw):
             width = draw(st.integers(1, 3)) if ragged else width
             entries.append(values[:width])
             values = values[width:]
-    # a comment between entries sends the file to the line loop
+    # comments between entries send the file to the second loadtxt pass
     filler = st.sampled_from(_BLANK + (_COMMENTS if draw(st.integers(0, 3)) == 0 else []))
     sep = draw(st.sampled_from([" ", "  ", "\t", " \t "]))
     lines = [f"%%MatrixMarket matrix {fmt} {field} {symmetry}"]

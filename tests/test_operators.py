@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diagmc import probes
+from diagmc import operators, probes
 from diagmc.operators import (
     DENSE_LIMIT,
     AsymmetricMatrixError,
@@ -349,10 +349,113 @@ class TestCanonicalLayout:
     def test_storage_is_sorted_with_duplicates_summed(self):
         op = CooSymmetric(3, rows=[2, 1, 2, 0, 2], cols=[0, 1, 0, 0, 2],
                           values=[0.1, 2.0, 0.2, 1.0, -0.0])
-        assert op._rows.tolist() == [0, 0, 1, 2, 2]
-        assert op._cols.tolist() == [0, 2, 1, 0, 2]
+        # slots, not (row, col) order: rows 0 and 2 hold two positions, row 1 one.
+        # Slot 0, (0,0) (2,0) (1,1), holds all three rows; slot 1 would hold two,
+        # fewer than the three a slot of this matrix needs, so (0,2) (2,2) overflow
+        assert op._perm.tolist() == [0, 2, 1]
+        assert op._slots.tolist() == [0, 3]
+        assert op._overflow.tolist() == [0, 1]
+        assert op._cols.tolist() == [0, 0, 1, 2, 2]
         assert op._values.tolist() == [1.0, 0.1 + 0.2, 2.0, 0.1 + 0.2, 0.0]
         assert not np.signbit(op._values[-1])  # summed from +0.0
+        assert not hasattr(op, "_rows")
+
+
+def _canonical(n, rows, cols, values):
+    """The (row, col)-sorted layout the slots replaced: each position once, summed from +0.0."""
+    rows, cols, values = _stored_as_before(np.asarray(rows, np.intp), np.asarray(cols, np.intp),
+                                           np.asarray(values, np.float64))
+    order = np.argsort(rows * n + cols, kind="stable")
+    keys, slot = np.unique((rows * n + cols)[order], return_inverse=True)
+    r, c = np.divmod(keys, n)
+    return r, c, np.bincount(slot.ravel(), values[order], keys.size).astype(np.float64)
+
+
+def _reference_matvec(n, rows, cols, values, mat):
+    """The apply the slots replaced: one bincount per column over the canonical layout."""
+    r, c, v = _canonical(n, rows, cols, values)
+    out = np.empty((n, mat.shape[1]))
+    for k in range(mat.shape[1]):
+        col = mat[:, k].copy()
+        out[:, k] = np.bincount(r, v * col[c], n)
+    return out
+
+
+def _arrow(n):
+    """Lower-triangle entries of a full first column and last row, and the diagonal."""
+    i = np.arange(n)
+    return (np.concatenate([i, i[1:], np.full(n - 1, n - 1)]),
+            np.concatenate([i, np.zeros(n - 1, np.intp), i[:-1]]),
+            np.concatenate([np.full(n, 2.0), np.full(n - 1, 0.1), np.full(n - 1, -0.3)]))
+
+
+@st.composite
+def _block(draw, n):
+    """An (n, k) float64 block, C-ordered, F-ordered or a strided view, with +-0.0 and 1e16."""
+    k = draw(st.sampled_from([1, 2, 3, 7, 64]))
+    entries = draw(st.lists(_ENTRY_VALUES, min_size=n * k, max_size=n * k))
+    mat = np.array(entries, dtype=np.float64).reshape(n, k)
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    if layout == "F":
+        return np.asfortranarray(mat)
+    if layout == "strided":
+        wide = np.full((n, 2 * k), np.nan)
+        wide[:, ::2] = mat
+        return wide[:, ::2]
+    return mat
+
+
+class TestSlotApply:
+    """``apply`` on the slots equals the per-column bincount it replaced, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(entries=_lower_entries(), data=st.data(),
+           budget=st.sampled_from([1, 3, 64, operators._APPLY_ELEMENTS]),
+           slot_rows=st.sampled_from([1, 2, 3, operators._SLOT_ROWS]))
+    def test_equals_per_column_bincount(self, entries, data, budget, slot_rows):
+        n, rows, cols, values = entries
+        with pytest.MonkeyPatch.context() as mp:
+            # small budgets split the rows into many chunks; slot_rows 1 keeps every
+            # slot, larger ones send more of the longer rows to the overflow
+            mp.setattr(operators, "_SLOT_ROWS", slot_rows)
+            op = CooSymmetric(n, rows, cols, values)
+            mp.setattr(operators, "_APPLY_ELEMENTS", budget)
+            mat = data.draw(_block(n))
+            assert _same_bits(op.apply(mat), _reference_matvec(n, rows, cols, values, mat))
+            want = _reference_matvec(n, rows, cols, values, mat[:, :1])[:, 0]
+            assert _same_bits(op.apply(mat[:, 0]), want)
+        diag, sums, dense = _reference_readers(n, rows, cols, values)
+        assert _same_bits(op.exact_diag(), diag)
+        assert all(_same_bits(have, want) for have, want in zip(op.row_sums(), sums))
+        assert _same_bits(op.to_dense(), dense)
+
+    def test_arrow_rows_overflow_past_a_chunk(self):
+        n, k = 1500, 64
+        rows, cols, values = _arrow(n)
+        op = CooSymmetric(n, rows, cols, values)
+        # three slots of nearly all rows; the two full rows go on in the overflow,
+        # each longer than the rows of a chunk
+        assert op._slots.size - 1 == 3
+        assert op._overflow.size == 2 * (n - 3) and n - 3 > operators._APPLY_ELEMENTS // k
+        mat = np.random.default_rng(2).standard_normal((n, k))
+        assert _same_bits(op.apply(mat), _reference_matvec(n, rows, cols, values, mat))
+        assert _same_bits(op.apply(mat[:, 5]), _reference_matvec(n, rows, cols, values, mat[:, 5:6])[:, 0])
+
+    def test_empty_block(self):
+        op = CooSymmetric(3, rows=[2], cols=[0], values=[1.5])
+        assert op.apply(np.ones((3, 0))).shape == (3, 0)
+
+    def test_block_extra_memory_is_two_chunks(self, peak_bytes):
+        n, per_row = 50_000, 4
+        rng = np.random.default_rng(0)
+        i = np.repeat(np.arange(1, n), per_row)
+        j = (rng.random(i.size) * i).astype(np.intp)
+        d = np.arange(n)
+        op = CooSymmetric(n, np.concatenate([d, i]), np.concatenate([d, j]),
+                          np.concatenate([1.0 + rng.random(n), rng.uniform(-0.1, 0.1, i.size)]))
+        block, _ = probes.sample_probe_block(probes.rademacher(), n, probes.RngState(0), 64)
+        out, peak = peak_bytes(lambda: op.apply(block))
+        assert peak <= out.nbytes + 2 * 2**20
 
 
 class TestRowSums:
