@@ -446,6 +446,8 @@ def ks_student_t(samples: Sequence[float], dof: int, alpha: float = 0.01) -> KsR
 
 
 def _component_row(op: SymmetricOperator, index: int) -> np.ndarray:
+    if not (0 <= index < op.dim):
+        raise IndexError(f"component index {index} out of range for n={op.dim}")
     basis = np.zeros(op.dim)
     basis[index] = 1.0
     row = op.apply(basis)

@@ -149,26 +149,11 @@ class MatrixFreeOperator(SymmetricOperator):
 class DenseSymmetric(SymmetricOperator):
     """Symmetric matrix stored as one full, exactly symmetric n x n array.
 
-    Build it with :meth:`from_dense` from a full array, or directly from a
-    packed lower triangle (row-major over rows ``i``, columns ``j <= i``,
-    n(n+1)/2 values), which is mirrored into the full array.
+    Build it with :meth:`from_dense` from a full array.
     """
 
-    def __init__(self, packed: np.ndarray, dim: int):
-        super().__init__(dim)
-        packed = np.asarray(packed, dtype=np.float64).ravel()
-        expected = dim * (dim + 1) // 2
-        if packed.shape[0] != expected:
-            raise ValueError(
-                f"packed lower triangle of a {dim}x{dim} matrix needs "
-                f"{expected} values, got {packed.shape[0]}"
-            )
-        _check_finite(packed)
-        m = np.zeros((dim, dim))
-        lower = np.tril_indices(dim)
-        m[lower] = packed
-        m.T[lower] = packed
-        self._matrix = m
+    def __init__(self, *args, **kwargs):
+        raise TypeError("build a DenseSymmetric with DenseSymmetric.from_dense")
 
     @classmethod
     def _wrap(cls, matrix: np.ndarray) -> "DenseSymmetric":

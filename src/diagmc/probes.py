@@ -189,6 +189,10 @@ def _words_per_probe(n: int) -> int:
 # makes the split invisible to the values drawn.
 _BLOCK_VECTORS = 1024
 _BLOCK_BYTES = 2**25
+# Gaussian entries are made in tiles of at most this many word pairs: every
+# probe of the block (so the transposed writes fill whole rows of it), or this
+# many, by as many pairs as fit.
+_TILE_PAIRS = 2**14
 
 
 def _block_counts(n: int, total: int):
@@ -238,30 +242,51 @@ def _fill_gaussian(out: np.ndarray, words: np.ndarray) -> None:
     # entries r cos(2 pi u2), r sin(2 pi u2).  They are built from the
     # half-angle tangent t = tan(pi u2), which is vectorised where cos and sin
     # are not: with d = r / (1 + t^2), r (1 - t^2) / (1 + t^2) = 2 d - r and
-    # r 2 t / (1 + t^2) = 2 t d.  No array changes dtype in place (numpy
-    # would copy it), so the radius goes to the cosine rows of ``out`` and
-    # t and d take the slots of the words already read.
-    pairs, half = (len(out) + 1) // 2, len(out) // 2
-    cos, sin = out[0::2], out[1::2]
-    np.right_shift(words, np.uint64(11), out=words)
-    u1, u2 = words[:, 0 : 2 * pairs : 2], words[:, 1 : 2 * pairs : 2]
-    # u1 in (0, 1] so the log is finite
-    u1 += np.uint64(1)
-    np.multiply(u1.T, _INV53, out=cos)
-    np.log(cos, out=cos)
-    cos *= -2.0
-    np.sqrt(cos, out=cos)
-    slots = words.view(np.float64)
-    t, d = slots[:, 0 : 2 * pairs : 2], slots[:, 1 : 2 * pairs : 2]
-    # pi 2^-53 is exact, so this is the rounded half angle pi u2 of format 1
-    np.multiply(u2, math.pi * _INV53, out=t)
-    np.tan(t, out=t)
-    np.multiply(t, t, out=d)
-    d += 1.0
-    np.divide(cos.T, d, out=d)
-    d *= 2.0
-    np.multiply(t[:, :half].T, d[:, :half].T, out=sin)
-    np.subtract(d.T, cos, out=cos)
+    # r 2 t / (1 + t^2) = 2 t d.
+    # The passes go one tile of g probes by c pairs at a time, over (g, c)
+    # arrays that are contiguous and small enough to stay in cache, where
+    # numpy's loops run at full speed: u1 and u2 are shifted out of their
+    # stride-2 words into the tile, and the finished cosine and sine entries
+    # go into the rows of ``out`` by one transposed copy each.  Each entry
+    # goes through the same IEEE operations in the same order whatever the
+    # tiling, so the tile size changes no bit of the stream.  The tile takes
+    # three (g, c) arrays, 3 g c <= 3 _TILE_PAIRS floats (384 KiB), at any
+    # block size.
+    n, count = out.shape
+    pairs = (n + 1) // 2
+    g = min(count, _TILE_PAIRS)
+    c = max(1, min(pairs, _TILE_PAIRS // g))
+    r_space, t_space, d_space = np.empty((3, g * c))
+    # the shifted words are last read before d is first written
+    spaces = (d_space.view(np.uint64), r_space, t_space, d_space)
+    for j in range(0, count, g):
+        rows = min(g, count - j)
+        for p in range(0, pairs, c):
+            cols = min(c, pairs - p)
+            u, r, t, d = (a[: rows * cols].reshape(rows, cols) for a in spaces)
+            w = words[j : j + rows, 2 * p : 2 * (p + cols)]
+            np.right_shift(w[:, 0::2], np.uint64(11), out=u)
+            # u1 in (0, 1] so the log is finite
+            u += np.uint64(1)
+            np.multiply(u, _INV53, out=r)
+            np.log(r, out=r)
+            r *= -2.0
+            np.sqrt(r, out=r)
+            np.right_shift(w[:, 1::2], np.uint64(11), out=u)
+            # pi 2^-53 is exact, so this is the rounded half angle pi u2 of format 1
+            np.multiply(u, math.pi * _INV53, out=t)
+            np.tan(t, out=t)
+            np.multiply(t, t, out=d)
+            d += 1.0
+            np.divide(r, d, out=d)
+            d *= 2.0
+            np.subtract(d, r, out=r)
+            np.multiply(t, d, out=t)
+            cos = out[2 * p : 2 * (p + cols) : 2, j : j + rows]
+            sin = out[2 * p + 1 : 2 * (p + cols) : 2, j : j + rows]
+            cos[...] = r.T
+            # an odd n has no sine entry in its last pair
+            sin[...] = t[:, : len(sin)].T
 
 
 def _sample_block(

@@ -144,6 +144,16 @@ class TestNormalizedErrorLaw:
         with pytest.raises(ValueError, match="non-finite matvec values in row 2"):
             normalized_error_samples(op, 2, 4, 3, 0)
 
+    @pytest.mark.parametrize("index", [-1, -20, 20])
+    def test_component_index_out_of_range(self, index):
+        # numpy would read -1 as row n - 1 and -n as row 0
+        op = make_test_matrix("tridiag", 20, 0.5)
+        message = f"component index {index} out of range for n=20"
+        with pytest.raises(IndexError, match=message):
+            normalized_error_samples(op, index, 10, 10, 0)
+        with pytest.raises(IndexError, match=message):
+            replicate_component_errors(op, index, EstimatorSpec("rademacher"), 10, 10, 0)
+
     def test_one_row_matvec_per_t_law_suite(self):
         calls = []
         op = make_test_matrix("tridiag", 6, 0.5)

@@ -175,13 +175,9 @@ class TestConstruction:
 
 
 class TestDenseSymmetric:
-    def test_packed_count(self):
-        packed = np.arange(1.0, 7 * 8 // 2 + 1)
-        full = DenseSymmetric(packed, 7).to_dense()
-        assert np.array_equal(full[np.tril_indices(7)], packed)
-        assert np.array_equal(full, full.T)
-        with pytest.raises(ValueError, match="needs"):
-            DenseSymmetric(np.zeros(5), 7)
+    def test_from_dense_is_the_one_constructor(self):
+        with pytest.raises(TypeError, match="from_dense"):
+            DenseSymmetric(np.eye(2))
 
     def test_reconstruction_is_exactly_symmetric(self):
         m = RNG.standard_normal((15, 15))
@@ -259,10 +255,6 @@ class TestNonFiniteDense:
         m[1, 1] = bad
         with pytest.raises(ValueError, match="finite"):
             DenseSymmetric.from_dense(m)
-
-    def test_packed_rejects(self):
-        with pytest.raises(ValueError, match="finite"):
-            DenseSymmetric(np.array([1.0, np.nan, 1.0]), 2)
 
 
 def _split_coo(m, rng):
