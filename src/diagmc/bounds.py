@@ -2,10 +2,10 @@
 
 Every function here is a pure evaluation of a closed-form tail bound, bound
 constant or sample-size requirement; nothing is estimated.  Bound constants
-are reductions of the per-row sums an operator computes from its own stored
-entries (:meth:`SymmetricOperator.row_sums`), so these operations accept
-operators with explicit entries, dense or sparse at any n, or raw symmetric
-arrays, never pure matrix-free ones.
+are reductions of the per-row sums an operator computes from what it knows
+(:meth:`SymmetricOperator.row_sums`): its stored entries, or a test family's
+closed forms.  So these operations accept dense and sparse operators and the
+test families at any n, and raw symmetric arrays, never pure matrix-free ones.
 
 Conventions:
 

@@ -144,46 +144,36 @@ def _print_component(cc) -> None:
     print(f"Psi = {'undefined (diagonal row)' if cc.psi is None else format(cc.psi, '.17g')}")
 
 
-def _cmd_plan(args) -> int:
-    op = _load_operator(args)
+def _cmd_constants(args) -> int:
+    """``bounds`` prints the bound constants; ``plan`` prints the sample count first."""
+    op, plan = _load_operator(args), args.command == "plan"
+    what = "planning" if plan else "bounds"
     if args.component is not None:
-        spec = _parse_dist(args.dist, bounds_mod.COMPONENT_METHODS, "componentwise planning")
+        spec = _parse_dist(args.dist, bounds_mod.COMPONENT_METHODS, f"componentwise {what}")
         cc = bounds_mod.component_constants(op, args.component)
-        n_planned = bounds_mod.plan_samples_component(cc, spec.method, args.eps, args.delta)
-        print(f"N = {n_planned}")
+        if plan:
+            print(f"N = {bounds_mod.plan_samples_component(cc, spec.method, args.eps, args.delta)}")
         _print_component(cc)
         return EXIT_OK
     if _canonical_name(args.dist) == _GAUSSIAN_NORMWISE:
-        plan = bounds_mod.plan_samples_gaussian_normwise(op, args.eps, args.delta)
-        print(f"required (pre-window) = {plan.required:.17g}")
-        print(f"window = [{plan.window_low:.17g}, {plan.window_high}]")
-        if not plan.feasible:
-            print(f"infeasible: {plan.violation}")
+        if not plan:
+            ratio, window_low, n = bounds_mod.gaussian_normwise_window(op)
+            print(f"norm_ratio = {ratio:.17g}")
+            print(f"window = [{window_low:.17g}, {n}]")
+            return EXIT_OK
+        gn = bounds_mod.plan_samples_gaussian_normwise(op, args.eps, args.delta)
+        print(f"required (pre-window) = {gn.required:.17g}")
+        print(f"window = [{gn.window_low:.17g}, {gn.window_high}]")
+        if not gn.feasible:
+            print(f"infeasible: {gn.violation}")
             return EXIT_INFEASIBLE
-        print(f"N = {plan.n_samples}")
+        print(f"N = {gn.n_samples}")
         return EXIT_OK
-    spec = _parse_dist(args.dist, _NORMWISE_NAMES, "normwise planning")
+    spec = _parse_dist(args.dist, _NORMWISE_NAMES, f"normwise {what}")
     nc = bounds_mod.normwise_constants(op, s=spec.sparsity)
-    n_planned = bounds_mod.plan_samples_normwise(nc, args.eps, args.delta)
-    print(f"N = {n_planned}")
-    _print_normwise(nc)
-    return EXIT_OK
-
-
-def _cmd_bounds(args) -> int:
-    op = _load_operator(args)
-    if args.component is not None:
-        _parse_dist(args.dist, bounds_mod.COMPONENT_METHODS, "componentwise bounds")
-        _print_component(bounds_mod.component_constants(op, args.component))
-        return EXIT_OK
-    if _canonical_name(args.dist) == _GAUSSIAN_NORMWISE:
-        ratio, window_low, n = bounds_mod.gaussian_normwise_window(op)
-        print(f"norm_ratio = {ratio:.17g}")
-        print(f"window = [{window_low:.17g}, {n}]")
-        return EXIT_OK
-    spec = _parse_dist(args.dist, _NORMWISE_NAMES, "normwise bounds")
-    nc = bounds_mod.normwise_constants(op, s=spec.sparsity)
-    if nc.is_diagonal:
+    if plan:
+        print(f"N = {bounds_mod.plan_samples_normwise(nc, args.eps, args.delta)}")
+    elif nc.is_diagonal:
         print("matrix is diagonal: a single Rademacher sample is exact")
     _print_normwise(nc)
     return EXIT_OK
@@ -242,24 +232,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--out", help="output CSV path")
     p_est.set_defaults(func=_cmd_estimate)
 
-    p_plan = sub.add_parser("plan", help="sample count for an (eps, delta) target")
-    _add_matrix_args(p_plan)
-    p_plan.add_argument("--dist", default="rademacher",
-                        help="rademacher | sparse:S | gaussian-normwise, or a "
-                             "componentwise method with --component")
-    p_plan.add_argument("--eps", type=float, required=True)
-    p_plan.add_argument("--delta", type=float, required=True)
-    p_plan.add_argument("--component", type=int,
-                        help="0-based index for componentwise planning")
-    p_plan.set_defaults(func=_cmd_plan)
-
-    p_bounds = sub.add_parser("bounds", help="print bound constants")
-    _add_matrix_args(p_bounds)
-    p_bounds.add_argument("--dist", default="rademacher",
-                          help="rademacher | sparse:S | gaussian-normwise, or a "
-                               "componentwise method with --component")
-    p_bounds.add_argument("--component", type=int)
-    p_bounds.set_defaults(func=_cmd_bounds)
+    for name, text in (("plan", "sample count for an (eps, delta) target"),
+                       ("bounds", "print bound constants")):
+        p_cmd = sub.add_parser(name, help=text)
+        _add_matrix_args(p_cmd)
+        p_cmd.add_argument("--dist", default="rademacher",
+                           help="rademacher | sparse:S | gaussian-normwise, or a "
+                                "componentwise method with --component")
+        if name == "plan":
+            p_cmd.add_argument("--eps", type=float, required=True)
+            p_cmd.add_argument("--delta", type=float, required=True)
+        p_cmd.add_argument("--component", type=int, help=(
+            "0-based index for componentwise planning" if name == "plan" else None))
+        p_cmd.set_defaults(func=_cmd_constants)
 
     p_exp = sub.add_parser("experiment", help="run a standard experiment")
     p_exp.add_argument("--id", type=int, required=True, choices=(1, 2, 3, 4))

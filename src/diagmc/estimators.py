@@ -327,10 +327,13 @@ def estimate_dgsm(
     return _run_estimate(oracle.dim, draw, n_samples, seed, UNNORMALIZED)
 
 
-def _estimate_values(est) -> np.ndarray:
-    if isinstance(est, DiagonalEstimate):
-        return est.value
-    return np.asarray(est, dtype=np.float64)
+def _paired(est, exact) -> tuple[np.ndarray, np.ndarray]:
+    # the estimate's values and the exact diagonal, checked to have one length
+    values = est.value if isinstance(est, DiagonalEstimate) else np.asarray(est, dtype=np.float64)
+    exact = np.asarray(exact, dtype=np.float64)
+    if values.shape != exact.shape:
+        raise ValueError("estimate and exact diagonal have different lengths")
+    return values, exact
 
 
 def normwise_relative_error(est, exact: np.ndarray) -> float:
@@ -339,10 +342,7 @@ def normwise_relative_error(est, exact: np.ndarray) -> float:
     This is the 2-norm relative error of the associated diagonal matrices,
     the norm of a diagonal matrix being its largest-magnitude entry.
     """
-    values = _estimate_values(est)
-    exact = np.asarray(exact, dtype=np.float64)
-    if values.shape != exact.shape:
-        raise ValueError("estimate and exact diagonal have different lengths")
+    values, exact = _paired(est, exact)
     scale = float(np.max(np.abs(exact)))
     if scale == 0.0:
         raise ValueError("relative error undefined for an all-zero diagonal")
@@ -351,8 +351,9 @@ def normwise_relative_error(est, exact: np.ndarray) -> float:
 
 def componentwise_relative_error(est, exact: np.ndarray, index: int) -> float:
     """|est_i - exact_i| / |exact_i| for one component (0-based index)."""
-    values = _estimate_values(est)
-    exact = np.asarray(exact, dtype=np.float64)
+    values, exact = _paired(est, exact)
+    if not (0 <= index < exact.shape[0]):
+        raise IndexError(f"component index {index} out of range for n={exact.shape[0]}")
     reference = float(exact[index])
     if reference == 0.0:
         raise ValueError(f"component {index} of the exact diagonal is zero")

@@ -308,6 +308,17 @@ def run_experiment(config: ExperimentConfig):
     return records, summaries
 
 
+# Per standard experiment: its matrices, estimator names, default replicate
+# count, default delta (None: no bound curve) and default theta grid (None:
+# five points across each family's documented range; (): no theta grid).
+_STANDARD_EXPERIMENTS = {
+    1: (("rank1", "decay", "tridiag"), ("rademacher",), 10, 1e-16, None),
+    2: (("rank1",), ("rademacher", "gaussian", "sparse:3", "normalized-gaussian"), 100, None, (0.01,)),
+    3: (("rank1",), ("rademacher", "sparse:3", "sparse:10", "sparse:50"), 100, None, (0.01,)),
+    4: (("dgsm_quadratic",), ("dgsm",), 100, 0.01, ()),
+}
+
+
 def standard_experiment_configs(
     experiment: int,
     seed: int = 0,
@@ -318,45 +329,27 @@ def standard_experiment_configs(
     delta: Optional[float] = None,
 ) -> list:
     """Default configs for the standard experiments (1-4); a delta or thetas they ignore raises."""
-    grid = tuple(n_grid) if n_grid is not None else DEFAULT_N_GRID
-    if experiment == 1:
-        configs = []
-        for kind in ("rank1", "decay", "tridiag"):
-            lo, hi = TEST_MATRIX_KINDS[kind].theta_range
-            theta_grid = tuple(thetas) if thetas is not None else tuple(
-                np.linspace(lo, hi, 5)
-            )
-            configs.append(ExperimentConfig(
-                experiment=1, matrix=kind, n=n, thetas=theta_grid,
-                distributions=(EstimatorSpec("rademacher"),), n_grid=grid,
-                replicates=replicates if replicates is not None else 10,
-                seed=seed, delta=delta if delta is not None else 1e-16,
-            ))
-        return configs
-    if experiment in (2, 3):
-        if delta is not None:
-            raise ValueError(f"experiment {experiment} has no bound curve; delta does not apply")
-        names = {
-            2: ("rademacher", "gaussian", "sparse:3", "normalized-gaussian"),
-            3: ("rademacher", "sparse:3", "sparse:10", "sparse:50"),
-        }[experiment]
-        return [ExperimentConfig(
-            experiment=experiment, matrix="rank1", n=n,
-            thetas=tuple(thetas) if thetas is not None else (0.01,),
-            distributions=tuple(parse_estimator_spec(name) for name in names), n_grid=grid,
-            replicates=replicates if replicates is not None else 100,
-            seed=seed,
-        )]
-    if experiment == 4:
-        if thetas is not None:
-            raise ValueError("experiment 4 has no theta grid; thetas do not apply")
-        return [ExperimentConfig(
-            experiment=4, matrix="dgsm_quadratic", n=n, thetas=(),
-            distributions=(EstimatorSpec("dgsm"),), n_grid=grid,
-            replicates=replicates if replicates is not None else 100,
-            seed=seed, delta=delta if delta is not None else 0.01,
-        )]
-    raise ValueError(f"unknown experiment id {experiment}; expected 1-4")
+    if experiment not in _STANDARD_EXPERIMENTS:
+        raise ValueError(f"unknown experiment id {experiment}; expected 1-4")
+    matrices, names, default_replicates, default_delta, default_thetas = _STANDARD_EXPERIMENTS[experiment]
+    if delta is not None and default_delta is None:
+        raise ValueError(f"experiment {experiment} has no bound curve; delta does not apply")
+    if thetas is not None and default_thetas == ():
+        raise ValueError(f"experiment {experiment} has no theta grid; thetas do not apply")
+    configs = []
+    for matrix in matrices:
+        theta_grid = thetas if thetas is not None else default_thetas
+        if theta_grid is None:
+            lo, hi = TEST_MATRIX_KINDS[matrix].theta_range
+            theta_grid = np.linspace(lo, hi, 5)
+        configs.append(ExperimentConfig(
+            experiment=experiment, matrix=matrix, n=n, thetas=theta_grid,
+            distributions=tuple(parse_estimator_spec(name) for name in names),
+            n_grid=tuple(n_grid) if n_grid is not None else DEFAULT_N_GRID,
+            replicates=replicates if replicates is not None else default_replicates,
+            seed=seed, delta=delta if delta is not None else default_delta,
+        ))
+    return configs
 
 
 def _fmt(value) -> str:

@@ -1,11 +1,11 @@
 """Symmetric linear operators accessed through matrix-vector products.
 
 The estimators only ever see ``op.apply``; explicit entries are needed just
-for error-bound constants and exact diagonals.  Each operator reduces its own
-stored entries to the per-row sums the bounds read (``row_sums``), so no bound
-densifies a sparse operator; operators that cannot provide entries raise
-:class:`UnsupportedOperationError` from ``to_dense``/``row_sums``/``exact_diag``.
-``to_dense``, and with it the test families' ``row_sums``, raises it as well
+for error-bound constants and exact diagonals.  Each operator reduces what it
+knows to the per-row sums the bounds read (``row_sums``): the stored operators
+their entries, the test families their closed forms, so no bound densifies;
+operators that cannot provide entries raise :class:`UnsupportedOperationError`
+from ``to_dense``/``row_sums``/``exact_diag``.  ``to_dense`` raises it as well
 for n > ``DENSE_LIMIT``, before any n x n array is allocated.
 ``CooSymmetric``, the sparse storage, keeps jagged-diagonal slots and applies
 them to a whole (n, k) block at a time, a chunk of rows per pass; the few
@@ -129,7 +129,9 @@ class SymmetricOperator(ABC):
 
     def row_sums(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per row i: a_ii, sum_j a_ij^2 and sum_{j != i} |a_ij|, the inputs of every bound."""
-        return DenseSymmetric._wrap(self.to_dense()).row_sums()
+        raise UnsupportedOperationError(
+            f"{type(self).__name__} has no explicit-entries accessor"
+        )
 
 
 class MatrixFreeOperator(SymmetricOperator):
@@ -164,14 +166,14 @@ class DenseSymmetric(SymmetricOperator):
         return op
 
     @classmethod
-    def from_dense(cls, matrix: np.ndarray, tol: float = 1e-12) -> "DenseSymmetric":
-        """Build from a full array; asymmetry beyond ``tol`` (relative) raises AsymmetricMatrixError."""
+    def from_dense(cls, matrix: np.ndarray) -> "DenseSymmetric":
+        """Build from a full array; asymmetry beyond 1e-12 (relative) raises AsymmetricMatrixError."""
         m = np.asarray(matrix, dtype=np.float64)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
         _check_finite(m)
         scale = float(np.max(np.abs(m))) if m.size else 0.0
-        bad = np.argwhere(np.abs(m - m.T) > tol * max(scale, 1e-300))
+        bad = np.argwhere(np.abs(m - m.T) > 1e-12 * max(scale, 1e-300))
         if bad.size:
             raise AsymmetricMatrixError(m, *(int(v) for v in bad[0]))
         return cls._wrap(0.5 * (m + m.T))
@@ -364,6 +366,9 @@ class _TestFamily(SymmetricOperator):
                 stacklevel=2,
             )
 
+    def exact_diag(self) -> np.ndarray:
+        return self.row_sums()[0]
+
 
 class IdentityPlusRankOne(_TestFamily):
     """A = I + theta * ones * ones^T (documented theta range [0.01, 0.1])."""
@@ -374,8 +379,9 @@ class IdentityPlusRankOne(_TestFamily):
     def _matvec(self, mat):
         return mat + self.theta * mat.sum(axis=0, keepdims=True)
 
-    def exact_diag(self) -> np.ndarray:
-        return np.full(self._dim, 1.0 + self.theta)
+    def row_sums(self):
+        n, t, a_ii = self._dim, self.theta, 1.0 + self.theta
+        return np.full(n, a_ii), np.full(n, a_ii * a_ii + (n - 1) * t * t), np.full(n, (n - 1) * abs(t))
 
     def _dense(self) -> np.ndarray:
         m = np.full((self._dim, self._dim), self.theta)
@@ -410,12 +416,15 @@ class DecayingRankOne(_TestFamily):
         # x spans tens of orders of magnitude at small theta; compensated
         # summation keeps the norm exact to the last bit.
         self._xnorm2 = math.fsum(float(v) * float(v) for v in self._x)
+        self._xsum = math.fsum(self._x.tolist())
 
     def _matvec(self, mat):
         return self._x[:, None] * (self._x @ mat)[None, :] / self._xnorm2
 
-    def exact_diag(self) -> np.ndarray:
-        return self._x * self._x / self._xnorm2
+    def row_sums(self):
+        # row i is u_i = x_i^2 / ||x||^2 times x / x_i, so sum_j a_ij^2 = u_i
+        u, x = self._x * self._x / self._xnorm2, self._x
+        return u, u.copy(), x * (self._xsum - x) / self._xnorm2
 
     def _dense(self) -> np.ndarray:
         return np.outer(self._x, self._x) / self._xnorm2
@@ -450,8 +459,11 @@ class TridiagToeplitz(_TestFamily):
         out[1:] += self.theta * mat[:-1]
         return out
 
-    def exact_diag(self) -> np.ndarray:
-        return np.ones(self._dim)
+    def row_sums(self):
+        # the two end rows have one off-diagonal entry, the others two
+        c = np.full(self._dim, 2.0)
+        c[[0, -1]] = 1.0
+        return np.ones(self._dim), 1.0 + c * self.theta**2, c * abs(self.theta)
 
     def _dense(self) -> np.ndarray:
         m = np.eye(self._dim)

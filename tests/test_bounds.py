@@ -164,6 +164,27 @@ class TestNormwiseConstants:
         assert (mid.a_ii, mid.off2sq) == (1.0, 2.0 * theta**2)
 
 
+class TestFamiliesAtAMillion:
+    @pytest.mark.parametrize("kind,theta", [("rank1", 0.1), ("decay", 0.5), ("tridiag", 0.5)])
+    def test_no_bound_densifies(self, monkeypatch, peak_bytes, kind, theta):
+        n = 10**6
+        op = make_test_matrix(kind, n, theta)
+
+        def refuse(_):
+            raise AssertionError("a bound densified a test family")
+        monkeypatch.setattr(type(op), "_dense", refuse)
+        (nc, cc, (ratio, _, _)), peak = peak_bytes(lambda: (
+            bounds.normwise_constants(op),
+            bounds.component_constants(op, n // 2),
+            bounds.gaussian_normwise_window(op),
+        ))
+        assert peak < 64 * 2**20
+        closed = op.analytic_constants()
+        assert nc.k1 == pytest.approx(closed.k1, rel=1e-10)
+        assert nc.k2 == pytest.approx(closed.k2, rel=1e-10)
+        assert cc.a_ii == op.exact_diag()[n // 2] and ratio >= 1.0
+
+
 class TestMillionTridiagonal:
     # Estimated and planned under the block policy's memory bound.  Measured
     # peaks: 172 MiB (Rademacher), 229 MiB (normalized), 61 MiB (constants).

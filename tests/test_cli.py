@@ -1,6 +1,8 @@
 """CLI tests: subcommands, CSV artifacts, exit codes."""
 
 import csv
+import math
+import re
 
 import pytest
 
@@ -223,6 +225,76 @@ class TestBounds:
         assert code == EXIT_DATA
 
 
+# Recorded plan/bounds runs: argv (FILE stands for the file written by
+# _write_integer_file), exit code, stdout, stderr.  The matrix-file and error
+# cases were recorded before `plan` and `bounds` shared one handler.
+FILE = "{file}"
+RECORDED = {
+    "file-bounds": (("bounds", "--matrix-file", FILE,), 0, 'K1 = 33\nK2 = 9\nd = 5558.727272727273\nDelta1 = 0.67346938775510201\nDelta2 = 1.2857142857142858\nnorm_DA = 7\n', ''),
+    "file-bounds-sparse": (("bounds", "--matrix-file", FILE, "--dist", "sparse:3",), 0, 'K1 = 131\nK2 = 41\nd = 5525.6183206106871\nDelta1 = 2.6734693877551021\nDelta2 = 5.8571428571428568\nnorm_DA = 7\n', ''),
+    "file-bounds-component": (("bounds", "--matrix-file", FILE, "--component", "5001",), 0, 'a_ii = 7\ncol_norm = 8.6602540378443873\noff2sq = 26\nL1 = 15.660254037844387\nL2 = 124\nDelta1i = 2.237179148263484\nDelta2i = 2.5306122448979593\nPsi = 1.3728129459672884\n', ''),
+    "file-bounds-gaussian-normwise": (("bounds", "--matrix-file", FILE, "--dist", "gaussian-normwise",), 0, 'norm_ratio = 2.2857142857142856\nwindow = [200.30562398941663, 10007]\n', ''),
+    "file-plan": (("plan", "--matrix-file", FILE, "--eps", "0.1", "--delta", "0.01",), 0, 'N = 2194\nK1 = 33\nK2 = 9\nd = 5558.727272727273\nDelta1 = 0.67346938775510201\nDelta2 = 1.2857142857142858\nnorm_DA = 7\n', ''),
+    "file-plan-sparse": (("plan", "--matrix-file", FILE, "--dist", "sparse:3", "--eps", "0.1", "--delta", "0.01",), 0, 'N = 8780\nK1 = 131\nK2 = 41\nd = 5525.6183206106871\nDelta1 = 2.6734693877551021\nDelta2 = 5.8571428571428568\nnorm_DA = 7\n', ''),
+    "file-plan-component": (("plan", "--matrix-file", FILE, "--dist", "gaussian", "--component", "5001", "--eps", "0.1", "--delta", "0.01",), 0, 'N = 2919\na_ii = 7\ncol_norm = 8.6602540378443873\noff2sq = 26\nL1 = 15.660254037844387\nL2 = 124\nDelta1i = 2.237179148263484\nDelta2i = 2.5306122448979593\nPsi = 1.3728129459672884\n', ''),
+    "file-plan-gaussian-normwise": (("plan", "--matrix-file", FILE, "--dist", "gaussian-normwise", "--eps", "0.1", "--delta", "0.01",), 3, 'required (pre-window) = 104969547113.67653\nwindow = [200.30562398941663, 10007]\ninfeasible: exceeds_dimension\n', ''),
+    "usage-error": (("plan", "--matrix-file", FILE, "--eps", "0.1",), 1, '', 'usage error: the following arguments are required: --delta\n'),
+    "data-error": (("bounds", "--matrix-file", FILE, "--component", "10007",), 2, '', 'data error: component index 10007 out of range for n=10007\n'),
+    "tridiag-bounds": (("bounds", "--test-matrix", "tridiag:100:0.5",), 0, 'K1 = 0.5\nK2 = 1\nd = 99\nDelta1 = 0.5\nDelta2 = 1\nnorm_DA = 1\n', ''),
+    "tridiag-plan-gaussian-normwise": (("plan", "--test-matrix", "tridiag:100:0.5", "--dist", "gaussian-normwise", "--eps", "0.1", "--delta", "0.01",), 3, 'required (pre-window) = 10043624323.235048\nwindow = [100.14520346826232, 100]\ninfeasible: empty_window\n', ''),
+    "tridiag-plan-component": (("plan", "--test-matrix", "tridiag:100:0.5", "--component", "0", "--eps", "0.1", "--delta", "0.01",), 0, 'N = 265\na_ii = 1\ncol_norm = 1.1180339887498949\noff2sq = 0.25\nL1 = 2.1180339887498949\nL2 = 2.25\nDelta1i = 2.1180339887498949\nDelta2i = 2.25\nPsi = 2\n', ''),
+    "rank1-plan": (("plan", "--test-matrix", "rank1:100:0.1", "--eps", "0.1", "--delta", "0.01",), 0, 'N = 2525\nK1 = 0.98999999999999999\nK2 = 9.9000000000000004\nd = 99.999999999999986\nDelta1 = 0.81818181818181801\nDelta2 = 9\nnorm_DA = 1.1000000000000001\n', ''),
+    "rank1-bounds-sparse": (("bounds", "--test-matrix", "rank1:100:0.1", "--dist", "sparse:3",), 0, 'K1 = 3.4100000000000001\nK2 = 31.900000000000002\nd = 100.00000000000003\nDelta1 = 2.8181818181818179\nDelta2 = 29\nnorm_DA = 1.1000000000000001\n', ''),
+    "rank1-bounds-component": (("bounds", "--test-matrix", "rank1:100:0.1", "--component", "99", "--dist", "normalized-gaussian",), 0, 'a_ii = 1.1000000000000001\ncol_norm = 1.4832396974191326\noff2sq = 0.98999999999999999\nL1 = 2.583239697419133\nL2 = 3.4100000000000001\nDelta1i = 2.3483997249264839\nDelta2i = 2.8181818181818179\nPsi = 1.1055415967851334\n', ''),
+    "tridiag-large-bounds": (("bounds", "--test-matrix", "tridiag:100000:0.5",), 0, 'K1 = 0.5\nK2 = 1\nd = 99999\nDelta1 = 0.5\nDelta2 = 1\nnorm_DA = 1\n', ''),
+    "tridiag-large-plan-sparse": (("plan", "--test-matrix", "tridiag:100000:0.5", "--dist", "sparse:3", "--eps", "0.1", "--delta", "0.01",), 0, 'N = 9706\nK1 = 2.5\nK2 = 5\nd = 99999.800000000003\nDelta1 = 2.5\nDelta2 = 5\nnorm_DA = 1\n', ''),
+}
+_NUMBER = re.compile(r"(?<![\w.])-?\d+(?:\.\d*)?(?:e[-+]?\d+)?")
+
+
+def _write_integer_file(path, n):
+    """A symmetric coordinate file of integers: a diagonal, a sub-diagonal and a sparse fourth one."""
+    entries = []
+    for i in range(1, n + 1):
+        entries.append(f"{i} {i} {(i * 7) % 5 + 3}")
+        if i < n:
+            entries.append(f"{i + 1} {i} {(i * 5) % 9 - 4}")
+        if i + 4 <= n and i % 3 == 0:
+            entries.append(f"{i + 4} {i} {i % 4 + 1}")
+    path.write_text(f"%%MatrixMarket matrix coordinate real symmetric\n{n} {n} {len(entries)}\n"
+                    + "\n".join(entries) + "\n")
+
+
+def _assert_output_matches(got: str, want: str) -> None:
+    """Labels and line order exactly, sample counts and dimensions exactly, other numbers within 4 ulps."""
+    got_lines, want_lines = got.splitlines(), want.splitlines()
+    assert len(got_lines) == len(want_lines), got
+    for g, w in zip(got_lines, want_lines):
+        assert _NUMBER.sub("#", g) == _NUMBER.sub("#", w), (g, w)
+        integers = {"N": (0,), "window": (1,)}.get(w.split(" ", 1)[0], ())
+        for k, (a, b) in enumerate(zip(_NUMBER.findall(g), _NUMBER.findall(w))):
+            if k in integers:
+                assert a == b, (g, w)
+            else:
+                assert abs(float(a) - float(b)) <= 4 * math.ulp(float(b)), (g, w)
+
+
+class TestRecordedPlanBounds:
+    @pytest.fixture(scope="class")
+    def matrix_file(self, tmp_path_factory):
+        # n above the dense cutoff, so the file loads as a CooSymmetric
+        path = tmp_path_factory.mktemp("recorded") / "integers.mtx"
+        _write_integer_file(path, 10_007)
+        return str(path)
+
+    @pytest.mark.parametrize("name", RECORDED)
+    def test_output_matches_record(self, capsys, matrix_file, name):
+        argv, code, out, err = RECORDED[name]
+        got = _run(capsys, *(matrix_file if a == FILE else a for a in argv))
+        assert (got[0], got[2]) == (code, err.replace(FILE, matrix_file))
+        _assert_output_matches(got[1], out)
+
+
 class TestLargeSparseFile:
     def test_plan_and_bounds_above_the_dense_cutoff(self, tmp_path, capsys):
         n = 20_000
@@ -311,20 +383,21 @@ class TestParsing:
         code, out, err = _run(capsys, *argv)
         assert code == EXIT_DATA and out == "" and "theta must be finite" in err
 
-    @pytest.mark.parametrize("argv", [
-        ("bounds", "--test-matrix", "tridiag:10001:0.5"),
-        ("bounds", "--test-matrix", "decay:10001:0.5", "--component", "3"),
-        ("plan", "--test-matrix", "rank1:10001:0.1", "--eps", "0.1", "--delta", "0.1"),
-        ("experiment", "--id", "1", "--n", "10001", "--replicates", "1", "--n-grid", "16"),
+    @pytest.mark.parametrize("argv,first", [
+        (("bounds", "--test-matrix", "tridiag:10001:0.5"), "K1 = 0.5\nK2 = 1\nd = 10000\n"),
+        (("bounds", "--test-matrix", "decay:10001:0.5", "--component", "3"), "a_ii = "),
+        (("plan", "--test-matrix", "rank1:10001:0.1", "--eps", "0.1", "--delta", "0.1"), "N = "),
+        (("experiment", "--id", "1", "--n", "10001", "--replicates", "1", "--n-grid", "16"),
+         "wrote 15 replicate rows and 15 aggregate rows to "),
     ], ids=["bounds", "bounds-component", "plan", "experiment"])
-    def test_test_family_above_dense_cutoff_is_data_error(self, tmp_path, capsys,
-                                                          monkeypatch, argv):
-        # UnsupportedOperationError: the bound constants would densify n x n
+    def test_test_family_above_dense_cutoff_has_bound_constants(self, tmp_path, capsys,
+                                                                monkeypatch, argv, first):
+        # the families' row sums come from closed forms, never from an n x n array
         monkeypatch.setenv("DIAGMC_OUTPUT_DIR", str(tmp_path))
         code, out, err = _run(capsys, *argv)
-        assert (code, out) == (EXIT_DATA, "")
-        assert err == "data error: n = 10001 exceeds the dense cutoff 10000\n"
-        assert not any(tmp_path.iterdir())
+        assert (code, err) == (EXIT_OK, "") and out.startswith(first)
+        assert [p.name for p in tmp_path.iterdir()] == (
+            ["experiment_1.csv"] if argv[0] == "experiment" else [])
 
     def test_degenerate_denominator_is_data_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(estimators, "_DEGENERATE_DENOMINATOR", float("inf"))

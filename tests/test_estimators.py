@@ -430,6 +430,15 @@ class TestErrorMeasures:
         assert componentwise_relative_error(np.array([9.0, 1.0]), exact, 0) == pytest.approx(0.1)
         assert componentwise_relative_error(np.array([9.0, 0.5]), exact, 1) == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("index", [-1, -5, 5])
+    def test_componentwise_index_checked(self, index):
+        with pytest.raises(IndexError, match=rf"^component index {index} out of range for n=5$"):
+            componentwise_relative_error(np.ones(5), np.ones(5), index)
+
+    def test_componentwise_lengths_checked(self):
+        with pytest.raises(ValueError, match="^estimate and exact diagonal have different lengths$"):
+            componentwise_relative_error(np.ones(5), np.ones(3), 0)
+
     def test_componentwise_zero_entry_rejected(self):
         with pytest.raises(ValueError, match="zero"):
             componentwise_relative_error(np.array([1.0]), np.array([0.0]), 0)

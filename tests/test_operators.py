@@ -466,14 +466,21 @@ class TestRowSums:
         # duplicates are summed in storage order, as to_dense sums them
         assert np.array_equal(coo.row_sums()[0], np.diag(coo.to_dense()))
 
-    @pytest.mark.parametrize("kind,theta", [("rank1", 0.05), ("decay", 0.5), ("tridiag", 0.5)])
-    def test_base_reduces_to_dense(self, kind, theta):
-        op = make_test_matrix(kind, 17, theta)
-        m = op.to_dense()
-        expected = DenseSymmetric.from_dense(m).row_sums()
-        for have, want in zip(op.row_sums(), expected):
-            assert np.array_equal(have, want)
-        assert np.array_equal(op.row_sums()[0], op.exact_diag())
+    @pytest.mark.filterwarnings("ignore:theta=")
+    @pytest.mark.parametrize("kind,theta", [
+        ("rank1", 0.05), ("rank1", 0.1), ("rank1", -0.3), ("decay", 0.1), ("decay", 0.5),
+        ("decay", 1.0), ("tridiag", 0.5), ("tridiag", 1.0), ("tridiag", -0.7),
+    ])
+    def test_family_closed_forms_match_dense(self, kind, theta):
+        for n in (2, 3, 17, 100, 2000):
+            op = make_test_matrix(kind, n, theta)
+            expected = DenseSymmetric._wrap(op.to_dense()).row_sums()
+            got = op.row_sums()
+            for have, want in zip(got, expected):
+                assert have.dtype == np.float64 and have.shape == (n,)
+                # decay's far rows underflow, where the dense products lose digits
+                np.testing.assert_allclose(have, want, rtol=1e-13, atol=1e-300)
+            assert np.array_equal(got[0], op.exact_diag())
 
     def test_does_not_apply(self, monkeypatch):
         op = _split_coo(np.diag([1.0, 2.0]) + 0.5, np.random.default_rng(0))
@@ -514,17 +521,21 @@ class TestRowSums:
     ], ids=["rank1", "decay", "tridiag", "coo", "matrix-free"])
     def test_above_dense_cutoff_refused_before_allocation(self, peak_bytes, make):
         op = make(DENSE_LIMIT + 1)  # an n x n array would take 800 MB
-        # every row_sums but CooSymmetric's, which reads stored entries, densifies
-        calls = [op.to_dense] + ([] if isinstance(op, CooSymmetric) else [op.row_sums])
 
-        def refuse_all():
-            for call in calls:
-                with pytest.raises(UnsupportedOperationError,
-                                   match="^n = 10001 exceeds the dense cutoff 10000$"):
-                    call()
+        def refuse():
+            with pytest.raises(UnsupportedOperationError,
+                               match="^n = 10001 exceeds the dense cutoff 10000$"):
+                op.to_dense()
 
-        _, peak = peak_bytes(refuse_all)
+        _, peak = peak_bytes(refuse)
         assert peak < 2**20
+        if isinstance(op, MatrixFreeOperator):
+            with pytest.raises(UnsupportedOperationError,
+                               match="^MatrixFreeOperator has no explicit-entries accessor$"):
+                op.row_sums()
+        else:  # every other row_sums reduces what the operator knows
+            sums, peak = peak_bytes(op.row_sums)
+            assert peak < 2**20 and all(a.shape == (DENSE_LIMIT + 1,) for a in sums)
 
 
 class TestOperatorProtocol:
