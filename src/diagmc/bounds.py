@@ -6,6 +6,10 @@ are reductions of the per-row sums an operator computes from what it knows
 (:meth:`SymmetricOperator.row_sums`): its stored entries, or a test family's
 closed forms.  So these operations accept dense and sparse operators and the
 test families at any n, and raw symmetric arrays, never pure matrix-free ones.
+The off-diagonal sums are read as they come, never rebuilt as a difference
+such as ||a_i||^2 - a_ii^2, which cancels to nothing as the diagonal dominates.
+A normwise constant or a planned sample count that over- or underflows is
+refused with a ``ValueError``, never returned.
 
 Conventions:
 
@@ -53,7 +57,7 @@ COMPONENT_METHODS = ("rademacher", "gaussian", "normalized_gaussian")
 
 
 def _row_sums(matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(a_ii, sum_j a_ij^2, sum_{j != i} |a_ij|) of an operator or raw array."""
+    """(a_ii, sum_{j != i} a_ij^2, sum_{j != i} |a_ij|) of an operator or raw array."""
     if not isinstance(matrix, SymmetricOperator):
         matrix = DenseSymmetric.from_dense(matrix)
     return matrix.row_sums()
@@ -72,6 +76,8 @@ def _check_args(n_samples=None, t=None, eps=None, delta=None) -> None:
 
 
 def _ceil_samples(value: float) -> int:
+    if not math.isfinite(value):
+        raise ValueError(f"the planned sample count is {value}: the bound constants over- or underflow")
     return max(1, math.ceil(value - 1e-12))
 
 
@@ -126,36 +132,35 @@ class NormwiseConstants:
 def normwise_constants(matrix, s: float = 1.0) -> NormwiseConstants:
     """Compute normwise bound constants from explicit entries.
 
-    At s = 1: k1 = max_i (||a_i||^2 - a_ii^2), k2 = max_i sum_{j!=i} |a_ij|,
-    d = (||A||_F^2 - ||D_A||_F^2) / k1.  A diagonal matrix yields a flagged
-    result rather than an error.
+    At s = 1: k1 = max_i sum_{j!=i} a_ij^2, k2 = max_i sum_{j!=i} |a_ij|,
+    d = sum_i sum_{j!=i} a_ij^2 / k1.  A diagonal matrix yields a flagged
+    result rather than an error; a k1 of 0 for any other matrix (its squares
+    underflow) or a constant that is not finite raises ``ValueError``.
     """
     s = validate_sparsity(s)
-    diag, sq, off_abs = _row_sums(matrix)
-    norm_da = float(np.max(np.abs(diag)))
+    diag, off2, off_abs = _row_sums(matrix)
+    norm_da = np.max(np.abs(diag))  # a numpy scalar, whose square overflows to inf, not an error
     is_diagonal = not np.any(off_abs)
     if is_diagonal and s == 1.0:
         return NormwiseConstants(
             s=s, k1=0.0, k2=0.0, d=math.nan, delta1=0.0, delta2=0.0,
-            norm_da=norm_da, is_diagonal=True,
+            norm_da=float(norm_da), is_diagonal=True,
         )
     if norm_da == 0.0:
         raise ValueError(
             "all diagonal entries are zero; relative normwise targets are undefined"
         )
-    variance_diag = sq + (s - 2.0) * diag * diag
-    k1 = float(np.max(variance_diag))
-    k2 = float(np.max((s - 1.0) * np.abs(diag) + s * off_abs))
-    return NormwiseConstants(
-        s=s,
-        k1=k1,
-        k2=k2,
-        d=float(np.sum(variance_diag)) / k1,
-        delta1=k1 / norm_da**2,
-        delta2=k2 / norm_da,
-        norm_da=norm_da,
-        is_diagonal=is_diagonal,
-    )
+    with np.errstate(all="ignore"):  # an over- or underflow is refused below
+        variance = off2 + (s - 1.0) * diag * diag
+        k1, k2 = np.max(variance), np.max((s - 1.0) * np.abs(diag) + s * off_abs)
+        c = dict(k1=k1, k2=k2, d=np.sum(variance) / k1, delta1=k1 / norm_da**2, delta2=k2 / norm_da)
+    if k1 == 0.0:
+        raise ValueError("K1 = 0: the squared entries of the matrix underflow")
+    bad = [f"{name} = {v:g}" for name, v in c.items() if not math.isfinite(v)]
+    if bad:
+        raise ValueError(f"normwise bound constants are not finite: {', '.join(bad)}")
+    return NormwiseConstants(s=s, **{name: float(v) for name, v in c.items()},
+                             norm_da=float(norm_da), is_diagonal=is_diagonal)
 
 
 def normwise_tail_bound(
@@ -256,8 +261,10 @@ def plan_samples_gaussian_normwise(matrix, eps: float, delta: float) -> Gaussian
 class ComponentConstants:
     """Row/column-i ingredients of the componentwise bounds.
 
-    ``off2sq`` is the squared off-diagonal mass ||a_i||^2 - a_ii^2 (the
-    Rademacher error variance per sample), ``l1``/``l2`` the Gaussian bound
+    ``off2sq`` is the squared off-diagonal mass sum_{j != i} a_ij^2, as
+    ``row_sums`` reduces it (the Rademacher error variance per sample; it is 0
+    only for a diagonal row or one whose squares underflow), ``col_norm`` is
+    sqrt(off2sq + a_ii^2), ``l1``/``l2`` the Gaussian bound
     constants, ``delta1i``/``delta2i`` their relative forms, and ``psi`` the
     diagonal-dominance ratio |a_ii| / sqrt(off2sq) (None for a diagonal row,
     whose estimate is error-free).
@@ -280,13 +287,12 @@ class ComponentConstants:
 
 def component_constants(matrix, index: int) -> ComponentConstants:
     """Componentwise bound constants for one (0-based) diagonal entry."""
-    diag, sq, _ = _row_sums(matrix)
+    diag, off2, _ = _row_sums(matrix)
     n = diag.shape[0]
     if not (0 <= index < n):
         raise IndexError(f"component index {index} out of range for n={n}")
-    a_ii = float(diag[index])
-    col_norm_sq = float(sq[index])
-    off2sq = max(0.0, col_norm_sq - a_ii * a_ii)
+    a_ii, off2sq = float(diag[index]), float(off2[index])
+    col_norm_sq = off2sq + a_ii * a_ii
     col_norm = math.sqrt(col_norm_sq)
     if a_ii != 0.0:
         ratio = col_norm / abs(a_ii)
@@ -357,19 +363,20 @@ def plan_samples_component(
         raise ValueError(
             "componentwise relative targets require a nonzero diagonal entry"
         )
-    if method == "rademacher":
-        if cc.off2sq == 0.0:
-            return 1
-        value = (cc.off2sq / (cc.a_ii * cc.a_ii)) * 2.0 * math.log(2.0 / delta) / (eps * eps)
-    elif method == "gaussian":
-        value = (cc.delta2i + cc.delta1i * eps) * 2.0 * math.log(2.0 / delta) / (eps * eps)
-    else:
-        if cc.off2sq == 0.0:
-            return 1
-        psi = cc.psi
-        value = 1.0 + 2.0 * math.log(
-            math.sqrt(2.0 / math.pi) / (delta * eps * psi)
-        ) / math.log1p(eps * eps * psi * psi)
+    if method != "gaussian" and cc.off2sq == 0.0:
+        return 1
+    try:
+        if method == "rademacher":
+            value = (cc.off2sq / (cc.a_ii * cc.a_ii)) * 2.0 * math.log(2.0 / delta) / (eps * eps)
+        elif method == "gaussian":
+            value = (cc.delta2i + cc.delta1i * eps) * 2.0 * math.log(2.0 / delta) / (eps * eps)
+        else:
+            psi = cc.psi
+            value = 1.0 + 2.0 * math.log(
+                math.sqrt(2.0 / math.pi) / (delta * eps * psi)
+            ) / math.log1p(eps * eps * psi * psi)
+    except ZeroDivisionError:  # a_ii^2, eps^2 or eps psi underflows to 0: no finite N reaches the target
+        value = math.inf
     return _ceil_samples(value)
 
 

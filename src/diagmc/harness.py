@@ -94,6 +94,8 @@ class EstimatorSpec:
             )
         if self.method == "sparse" and self.s is None:
             raise ValueError("sparse estimator needs a sparsity parameter")
+        if self.method != "sparse" and self.s is not None:
+            raise ValueError(f"estimator {self.method!r} takes no sparsity parameter")
 
     @property
     def sparsity(self) -> Optional[float]:
@@ -412,7 +414,7 @@ class KsResult:
 def ks_student_t(samples: Sequence[float], dof: int, alpha: float = 0.01) -> KsResult:
     """KS test of standardized errors against the Student t law with ``dof`` dof.
 
-    Callers standardize errors by sqrt(N / (||a_i||^2 - a_ii^2)) first.  A
+    Callers standardize errors by sqrt(N / sum_{j != i} a_ij^2) first.  A
     single degree of freedom is rejected: the error there is Cauchy and must
     be handled separately.
     """
@@ -499,13 +501,13 @@ def normalized_error_samples(
 ) -> np.ndarray:
     """Standardized normalized-estimator errors for the t-distribution check.
 
-    Returns (est_i - a_ii) * sqrt(N / (||a_i||^2 - a_ii^2)) over replicates,
+    Returns (est_i - a_ii) * sqrt(N / sum_{j != i} a_ij^2) over replicates,
     which is t-distributed with N degrees of freedom.
     """
     row = _component_row(op, index)
-    a_ii = float(row[index])
-    off2sq = float(row @ row) - a_ii * a_ii
-    if off2sq <= 0.0:
+    off = np.delete(row, index)
+    off2sq = float(off @ off)
+    if off2sq == 0.0:
         raise ValueError("component has no off-diagonal mass; errors are zero")
     errors = _row_errors(row, index, EstimatorSpec("normalized_gaussian"), n_samples, replicates, seed)
     return errors * math.sqrt(n_samples / off2sq)

@@ -128,7 +128,11 @@ class SymmetricOperator(ABC):
         )
 
     def row_sums(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per row i: a_ii, sum_j a_ij^2 and sum_{j != i} |a_ij|, the inputs of every bound."""
+        """Per row i: a_ii, sum_{j != i} a_ij^2 and sum_{j != i} |a_ij|, the inputs of every bound.
+
+        Both sums leave the diagonal out, so a dominant a_ii does not swamp them.
+        A square that overflows is inf, without a warning.
+        """
         raise UnsupportedOperationError(
             f"{type(self).__name__} has no explicit-entries accessor"
         )
@@ -185,15 +189,16 @@ class DenseSymmetric(SymmetricOperator):
         return np.diag(self._matrix).copy()
 
     def row_sums(self):
-        m, n = self._matrix, self._dim  # exactly symmetric: column sums are row sums
-        # |A| goes through one reused row block, not a second n x n array
-        buf, off_abs, lo = np.empty((next(_block_counts(n, n)), n)), np.empty(n), 0
+        m, n = self._matrix, self._dim
+        # |A| without its diagonal goes through one reused row block, not a second n x n array
+        buf, off2, off_abs, lo = np.empty((next(_block_counts(n, n)), n)), np.empty(n), np.empty(n), 0
         for count in _block_counts(n, n):
             rows = np.abs(m[lo : lo + count], out=buf[:count])
             rows[np.arange(count), np.arange(lo, lo + count)] = 0.0
             off_abs[lo : lo + count] = rows.sum(axis=1)
+            off2[lo : lo + count] = np.einsum("ij,ij->i", rows, rows)  # an overflow to inf is silent
             lo += count
-        return self.exact_diag(), np.einsum("ij,ij->j", m, m), off_abs
+        return self.exact_diag(), off2, off_abs
 
     def _matvec(self, mat):
         return self._matrix @ mat
@@ -335,12 +340,12 @@ class CooSymmetric(SymmetricOperator):
 
     def row_sums(self):
         diag, rows = self.exact_diag(), self._entry_rows()
-        # one weight array at a time; float64 even with no entries, where
-        # bincount returns integer zeros
-        sq = np.bincount(rows, self._values * self._values, self._dim).astype(np.float64, copy=False)
-        off_abs = np.abs(self._values)
-        off_abs[rows == self._cols] = 0.0
-        return diag, sq, np.bincount(rows, off_abs, self._dim).astype(np.float64, copy=False)
+        off = np.abs(self._values)
+        off[rows == self._cols] = 0.0
+        with np.errstate(over="ignore"):
+            off2 = off * off
+        # float64 even with no entries, where bincount returns integer zeros
+        return diag, *(np.bincount(rows, w, self._dim).astype(np.float64, copy=False) for w in (off2, off))
 
     def _dense(self) -> np.ndarray:
         m = np.zeros((self._dim, self._dim))
@@ -381,7 +386,7 @@ class IdentityPlusRankOne(_TestFamily):
 
     def row_sums(self):
         n, t, a_ii = self._dim, self.theta, 1.0 + self.theta
-        return np.full(n, a_ii), np.full(n, a_ii * a_ii + (n - 1) * t * t), np.full(n, (n - 1) * abs(t))
+        return np.full(n, a_ii), np.full(n, (n - 1) * t * t), np.full(n, (n - 1) * abs(t))
 
     def _dense(self) -> np.ndarray:
         m = np.full((self._dim, self._dim), self.theta)
@@ -422,9 +427,9 @@ class DecayingRankOne(_TestFamily):
         return self._x[:, None] * (self._x @ mat)[None, :] / self._xnorm2
 
     def row_sums(self):
-        # row i is u_i = x_i^2 / ||x||^2 times x / x_i, so sum_j a_ij^2 = u_i
+        # row i is u_i = x_i^2 / ||x||^2 times x / x_i, so sum_{j != i} a_ij^2 = u_i (1 - u_i)
         u, x = self._x * self._x / self._xnorm2, self._x
-        return u, u.copy(), x * (self._xsum - x) / self._xnorm2
+        return u, u * (1.0 - u), x * (self._xsum - x) / self._xnorm2
 
     def _dense(self) -> np.ndarray:
         return np.outer(self._x, self._x) / self._xnorm2
@@ -463,7 +468,7 @@ class TridiagToeplitz(_TestFamily):
         # the two end rows have one off-diagonal entry, the others two
         c = np.full(self._dim, 2.0)
         c[[0, -1]] = 1.0
-        return np.ones(self._dim), 1.0 + c * self.theta**2, c * abs(self.theta)
+        return np.ones(self._dim), c * (self.theta * self.theta), c * abs(self.theta)
 
     def _dense(self) -> np.ndarray:
         m = np.eye(self._dim)

@@ -12,9 +12,10 @@ import pytest
 
 from diagmc import bounds
 from diagmc.estimators import estimate_diagonal, estimate_diagonal_normalized
-from diagmc.harness import EstimatorSpec, replicate_component_errors
-from diagmc.operators import CooSymmetric, MatrixFreeOperator, make_test_matrix
+from diagmc.harness import EstimatorSpec, normalized_error_samples, replicate_component_errors
+from diagmc.operators import CooSymmetric, DenseSymmetric, MatrixFreeOperator, make_test_matrix
 from diagmc.probes import RngState, rademacher
+from test_operators import _split_coo
 
 RNG = np.random.default_rng(777)
 
@@ -638,3 +639,107 @@ class TestEmpiricalNormwiseValidity:
             nre = np.max(np.abs(est.value - op.exact_diag())) / nc.norm_da
             failures += nre > eps
         assert failures / trials <= delta
+
+
+def _lower_coo(m):
+    rows, cols = np.nonzero(np.tril(m))
+    return CooSymmetric(m.shape[0], rows, cols, m[rows, cols])
+
+
+def _dominant(n=9, ratio=1e9):
+    """Off-diagonal entries of magnitude at most 1 under a diagonal ``ratio`` times as large."""
+    m = np.random.default_rng(5).uniform(-1.0, 1.0, (n, n))
+    m = np.tril(m, -1) + np.tril(m, -1).T
+    m[np.diag_indices(n)] = ratio * (1.0 + np.arange(n))
+    return m
+
+
+_MASS_OPERATORS = {
+    "dense": lambda: DenseSymmetric.from_dense(_random_symmetric(13, seed=3)),
+    "coo-split": lambda: _split_coo(_random_symmetric(13, seed=4), np.random.default_rng(4)),
+    "dense-dominant": lambda: DenseSymmetric.from_dense(_dominant()),
+    "coo-dominant": lambda: _lower_coo(_dominant()),
+    **{f"{kind}-{n}": (lambda kind=kind, n=n, theta=theta: make_test_matrix(kind, n, theta))
+       for kind, theta in (("rank1", 0.05), ("decay", 0.5), ("tridiag", 0.5))
+       for n in (2, 3, 17, 100, 2000)},
+}
+
+
+class TestOffDiagonalMass:
+    """Every reader of sum_{j != i} a_ij^2 agrees with the dense array with its diagonal zeroed.
+
+    The dominant matrices have a_ii / |a_ij| >= 10^9, where ||a_i||^2 - a_ii^2
+    loses every digit: a bound that rebuilt the mass that way fails here.
+    """
+
+    @staticmethod
+    def _reference(op):
+        m = op.to_dense()
+        np.fill_diagonal(m, 0.0)
+        return np.sum(m * m, axis=1)
+
+    @pytest.mark.parametrize("name", _MASS_OPERATORS)
+    def test_row_sums_and_bound_constants(self, name):
+        op = _MASS_OPERATORS[name]()
+        want = self._reference(op)
+        # decay's far rows underflow, where the dense products lose digits
+        np.testing.assert_allclose(op.row_sums()[1], want, rtol=1e-13, atol=1e-300)
+        nc = bounds.normwise_constants(op)
+        np.testing.assert_allclose([nc.k1, nc.d], [np.max(want), np.sum(want) / np.max(want)],
+                                   rtol=1e-13)
+        for i in {0, op.dim // 2, op.dim - 1}:
+            cc = bounds.component_constants(op, i)
+            np.testing.assert_allclose(cc.off2sq, want[i], rtol=1e-13, atol=1e-300)
+            assert cc.col_norm == math.sqrt(cc.off2sq + cc.a_ii * cc.a_ii)
+
+    @pytest.mark.parametrize("name", ["dense", "coo-split", "dense-dominant", "coo-dominant"])
+    def test_t_law_standardization(self, name):
+        op, index, n_samples = _MASS_OPERATORS[name](), 4, 3
+        errors = replicate_component_errors(op, index, EstimatorSpec("normalized_gaussian"),
+                                            n_samples, 5, 17)
+        scale = math.sqrt(n_samples / self._reference(op)[index])
+        np.testing.assert_allclose(normalized_error_samples(op, index, n_samples, 5, 17),
+                                   errors * scale, rtol=1e-13)
+
+    def test_dominant_row_has_a_tail(self):
+        # one-sample estimates of a_11 are off by |a_21| = 10^-3, so P[error >= 10^-4] = 1
+        m = np.diag([1e6] * 4)
+        m[1, 0] = m[0, 1] = 1e-3
+        cc = bounds.component_constants(m, 0)
+        assert cc.off2sq == 1e-3 * 1e-3 and cc.psi == 1e9
+        assert bounds.component_tail_bound(cc, "rademacher", 1, 1e-4) == 1.0
+        assert bounds.normwise_constants(m).k1 == 1e-3 * 1e-3
+
+
+class TestOverAndUnderflow:
+    """A finite matrix whose constants leave the float range is refused with ValueError."""
+
+    @staticmethod
+    def _matrix(diag, off):
+        m = np.diag([diag] * 4)
+        m[1, 0] = m[0, 1] = off
+        return m
+
+    def test_squares_underflow(self):
+        with pytest.raises(ValueError, match="^K1 = 0: the squared entries of the matrix underflow$"):
+            bounds.normwise_constants(self._matrix(1.0, 1e-170))
+        # sparse probes add (s - 1) a_ii^2 to the variance, which does not underflow
+        assert bounds.normwise_constants(self._matrix(1.0, 1e-170), 3.0).k1 == 2.0
+
+    @pytest.mark.parametrize("diag,off", [(1e200, 1e200), (1.0, 1e200), (1e-170, 1e-100)])
+    def test_normwise_constants_not_finite(self, diag, off):
+        with pytest.raises(ValueError, match="^normwise bound constants are not finite: "):
+            bounds.normwise_constants(self._matrix(diag, off))
+
+    @pytest.mark.parametrize("method", ["rademacher", "gaussian", "normalized_gaussian"])
+    @pytest.mark.parametrize("diag,off", [(1e200, 1e200), (1e-170, 1.0)])
+    def test_component_plan_not_finite(self, method, diag, off):
+        cc = bounds.component_constants(self._matrix(diag, off), 0)
+        with pytest.raises(ValueError, match="^the planned sample count is (inf|nan): "):
+            bounds.plan_samples_component(cc, method, 0.1, 1e-6)
+
+    def test_huge_diagonal_keeps_finite_constants(self):
+        # ||D_A||^2 overflows, so Delta1 = K1 / ||D_A||^2 underflows to 0: a real value
+        nc = bounds.normwise_constants(self._matrix(1e200, 1.0))
+        assert (nc.k1, nc.delta1, nc.delta2) == (1.0, 0.0, 1e-200)
+        assert bounds.plan_samples_normwise(nc, 0.1, 1e-6) == 1

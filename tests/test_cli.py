@@ -312,6 +312,41 @@ class TestLargeSparseFile:
         assert "off2sq = 0.5\n" in out
 
 
+def _four_by_four(path, diag, a21):
+    path.write_text("%%MatrixMarket matrix coordinate real symmetric\n4 4 5\n"
+                    + "".join(f"{i} {i} {diag}\n" for i in range(1, 5)) + f"2 1 {a21}\n")
+    return str(path)
+
+
+class TestExtremeFiles:
+    """Finite files whose constants cancel, underflow or overflow: an answer or exit 2, never a traceback."""
+
+    def test_dominant_diagonal(self, tmp_path, capsys):
+        path = _four_by_four(tmp_path / "dominant.mtx", "1000000", "0.001")
+        for argv in (("plan", "--eps", "0.1", "--delta", "1e-6"), ("bounds",)):
+            code, out, err = _run(capsys, *argv, "--matrix-file", path)
+            assert (code, err) == (EXIT_OK, "") and "K1 = 9.9999999999999995e-07\n" in out
+        code, out, _ = _run(capsys, "plan", "--component", "0", "--eps", "0.1", "--delta", "1e-6",
+                            "--matrix-file", path)
+        assert code == EXIT_OK
+        assert "off2sq = 9.9999999999999995e-07\n" in out and "Psi = 1000000000\n" in out
+
+    @pytest.mark.parametrize("diag,a21,argv,message", [
+        ("1", "1e-170", ("bounds",), "K1 = 0: the squared entries of the matrix underflow"),
+        ("1", "1e-170", ("plan", "--dist", "sparse:1", "--eps", "0.1", "--delta", "0.01"),
+         "K1 = 0: the squared entries of the matrix underflow"),
+        ("1e200", "1e200", ("plan", "--eps", "0.1", "--delta", "0.01"),
+         "normwise bound constants are not finite: k1 = inf, d = nan, delta1 = nan"),
+        ("1e200", "1e200", ("bounds", "--dist", "sparse:3"),
+         "normwise bound constants are not finite: k1 = inf, d = nan, delta1 = nan"),
+        ("1e200", "1e200", ("plan", "--component", "0", "--dist", "gaussian", "--eps", "0.1", "--delta", "0.01"),
+         "the planned sample count is inf: the bound constants over- or underflow"),
+    ], ids=["tiny-bounds", "tiny-plan", "huge-plan", "huge-bounds-sparse", "huge-plan-component"])
+    def test_refused_as_data_error(self, tmp_path, capsys, diag, a21, argv, message):
+        path = _four_by_four(tmp_path / "m.mtx", diag, a21)
+        assert _run(capsys, *argv, "--matrix-file", path) == (EXIT_DATA, "", f"data error: {message}\n")
+
+
 class TestExperiment:
     def test_small_experiment_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "exp1.csv"

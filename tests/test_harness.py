@@ -184,6 +184,14 @@ class TestSpecParsing:
             with pytest.raises(ValueError):
                 parse_estimator_spec(text)
 
+    @pytest.mark.parametrize("method", ["rademacher", "gaussian", "normalized_gaussian", "dgsm"])
+    def test_sparsity_only_for_sparse(self, method):
+        with pytest.raises(ValueError, match=f"^estimator '{method}' takes no sparsity parameter$"):
+            EstimatorSpec(method, 3.0)
+        assert EstimatorSpec(method).sparsity == (1.0 if method == "rademacher" else None)
+        # the range of s is checked where the probes are drawn, not here
+        assert EstimatorSpec("sparse", 0.5).sparsity == 0.5
+
     def test_name_normalisation(self):
         assert parse_estimator_spec(" Normalized-Gaussian ").method == "normalized_gaussian"
         assert parse_estimator_spec("SPARSE:10").s == 10.0

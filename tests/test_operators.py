@@ -286,10 +286,10 @@ def _reference_readers(n, rows, cols, values):
     r, c = np.divmod(keys, n)
     off_abs = np.where(r != c, np.abs(summed), 0.0)
     # bincount of no entries returns integer zeros; compare them as float64
-    sq, off_abs = (np.bincount(r, w, n).astype(np.float64) for w in (summed * summed, off_abs))
+    off2, off_abs = (np.bincount(r, w, n).astype(np.float64) for w in (off_abs * off_abs, off_abs))
     dense = np.zeros((n, n))
     np.add.at(dense, (rows, cols), values)
-    return diag, (diag, sq, off_abs), dense
+    return diag, (diag, off2, off_abs), dense
 
 
 # few distinct values, so sums cancel, round and reach -0.0 + 0.0
@@ -457,7 +457,8 @@ class TestRowSums:
         n = 12 + seed
         m = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.4)
         m = np.tril(m) + np.tril(m, -1).T
-        definition = (np.diag(m), np.sum(m * m, axis=1),
+        off = m - np.diag(np.diag(m))
+        definition = (np.diag(m), np.sum(off * off, axis=1),
                       np.sum(np.abs(m), axis=1) - np.abs(np.diag(m)))
         coo = _split_coo(m, rng)
         for got in (DenseSymmetric.from_dense(m).row_sums(), coo.row_sums()):
