@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .estimators import LinearGradientOracle, QuadraticGradientOracle
-from .operators import DenseSymmetric, SymmetricOperator
+from .operators import DenseSymmetric, SymmetricOperator, _check_index
 from .probes import validate_sparsity
 
 __all__ = [
@@ -75,6 +75,14 @@ def _check_args(n_samples=None, t=None, eps=None, delta=None) -> None:
         raise ValueError("delta must lie in (0, 1)")
 
 
+def _requirement(formula) -> float:
+    """``formula()``, or inf where a divisor in it underflows to 0: no finite N reaches the target."""
+    try:
+        return formula()
+    except ZeroDivisionError:
+        return math.inf
+
+
 def _ceil_samples(value: float) -> int:
     if not math.isfinite(value):
         raise ValueError(f"the planned sample count is {value}: the bound constants over- or underflow")
@@ -96,7 +104,8 @@ def _bernstein_tail(d: float, v: float, L: float, n_samples: int, t: float, clam
 
 def _bernstein_samples(d: float, L: float, r: float, eps: float, delta: float) -> int:
     # N >= (L / (3 eps^2)) (2 eps + 6 r) ln(8 d / delta)
-    return _ceil_samples(L / (3.0 * eps * eps) * (2.0 * eps + 6.0 * r) * math.log(8.0 * d / delta))
+    return _ceil_samples(_requirement(
+        lambda: L / (3.0 * eps * eps) * (2.0 * eps + 6.0 * r) * math.log(8.0 * d / delta)))
 
 
 def _bernstein_epsilon(d: float, L: float, r: float, n_samples: int, delta: float) -> float:
@@ -126,7 +135,8 @@ class NormwiseConstants:
 
     @property
     def delta3(self) -> float:
-        return self.delta1 / self.delta2
+        # Delta2 underflows to 0 only with Delta1; the planner refuses the nan
+        return self.delta1 / self.delta2 if self.delta2 else math.nan
 
 
 def normwise_constants(matrix, s: float = 1.0) -> NormwiseConstants:
@@ -242,7 +252,7 @@ def plan_samples_gaussian_normwise(matrix, eps: float, delta: float) -> Gaussian
     ratio, window_low, n = gaussian_normwise_window(matrix)
     if n < 3:
         raise ValueError("the Gaussian normwise planner needs n >= 3")
-    required = 128.0 * (math.e * math.log(n)) ** 3 / (eps * eps * delta) * ratio * ratio
+    required = _requirement(lambda: 128.0 * (math.e * math.log(n)) ** 3 / (eps * eps * delta) * ratio * ratio)
     planned = _ceil_samples(required)
     violation = None
     if window_low > n:
@@ -288,9 +298,7 @@ class ComponentConstants:
 def component_constants(matrix, index: int) -> ComponentConstants:
     """Componentwise bound constants for one (0-based) diagonal entry."""
     diag, off2, _ = _row_sums(matrix)
-    n = diag.shape[0]
-    if not (0 <= index < n):
-        raise IndexError(f"component index {index} out of range for n={n}")
+    _check_index(index, diag.shape[0])
     a_ii, off2sq = float(diag[index]), float(off2[index])
     col_norm_sq = off2sq + a_ii * a_ii
     col_norm = math.sqrt(col_norm_sq)
@@ -365,19 +373,15 @@ def plan_samples_component(
         )
     if method != "gaussian" and cc.off2sq == 0.0:
         return 1
-    try:
-        if method == "rademacher":
-            value = (cc.off2sq / (cc.a_ii * cc.a_ii)) * 2.0 * math.log(2.0 / delta) / (eps * eps)
-        elif method == "gaussian":
-            value = (cc.delta2i + cc.delta1i * eps) * 2.0 * math.log(2.0 / delta) / (eps * eps)
-        else:
-            psi = cc.psi
-            value = 1.0 + 2.0 * math.log(
-                math.sqrt(2.0 / math.pi) / (delta * eps * psi)
-            ) / math.log1p(eps * eps * psi * psi)
-    except ZeroDivisionError:  # a_ii^2, eps^2 or eps psi underflows to 0: no finite N reaches the target
-        value = math.inf
-    return _ceil_samples(value)
+    if method == "rademacher":  # a_ii^2, eps^2 or eps psi may underflow to 0
+        formula = lambda: (cc.off2sq / (cc.a_ii * cc.a_ii)) * 2.0 * math.log(2.0 / delta) / (eps * eps)
+    elif method == "gaussian":
+        formula = lambda: (cc.delta2i + cc.delta1i * eps) * 2.0 * math.log(2.0 / delta) / (eps * eps)
+    else:
+        formula = lambda: 1.0 + 2.0 * math.log(
+            math.sqrt(2.0 / math.pi) / (delta * eps * cc.psi)
+        ) / math.log1p(eps * eps * cc.psi * cc.psi)
+    return _ceil_samples(_requirement(formula))
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .operators import SymmetricOperator
+from .operators import SymmetricOperator, _check_index
 from .probes import (
     ProbeDistribution,
     RngState,
@@ -352,8 +352,7 @@ def normwise_relative_error(est, exact: np.ndarray) -> float:
 def componentwise_relative_error(est, exact: np.ndarray, index: int) -> float:
     """|est_i - exact_i| / |exact_i| for one component (0-based index)."""
     values, exact = _paired(est, exact)
-    if not (0 <= index < exact.shape[0]):
-        raise IndexError(f"component index {index} out of range for n={exact.shape[0]}")
+    _check_index(index, exact.shape[0])
     reference = float(exact[index])
     if reference == 0.0:
         raise ValueError(f"component {index} of the exact diagonal is zero")

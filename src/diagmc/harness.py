@@ -18,7 +18,7 @@ yields a byte-identical CSV.
 import csv
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -35,7 +35,7 @@ from .estimators import (
     estimate_diagonal_normalized,
     normwise_relative_error,
 )
-from .operators import SymmetricOperator, make_test_matrix, TEST_MATRIX_KINDS
+from .operators import SymmetricOperator, _check_index, make_test_matrix, TEST_MATRIX_KINDS
 from .probes import (
     ProbeDistribution,
     RngState,
@@ -49,11 +49,10 @@ from .probes import (
 from .special import kolmogorov_critical, kolmogorov_sf, student_t_cdf
 
 __all__ = [
-    "CellSummary",
     "EstimatorSpec",
     "ExperimentConfig",
+    "ExperimentRow",
     "KsResult",
-    "RunRecord",
     "dgsm_experiment_factor",
     "ks_student_t",
     "normalized_error_samples",
@@ -67,11 +66,6 @@ __all__ = [
 ]
 
 DEFAULT_N_GRID = (16, 32, 64, 128, 256, 512, 1024, 2048, 4096)
-
-CSV_COLUMNS = (
-    "experiment", "matrix", "theta", "dist", "s", "N", "replicate",
-    "seed", "nre", "bound_eps", "q025", "q975", "mean_nre",
-)
 
 
 @dataclass(frozen=True)
@@ -199,8 +193,13 @@ class ExperimentConfig:
 
 
 @dataclass(frozen=True)
-class RunRecord:
-    """One estimator trial."""
+class ExperimentRow:
+    """One experiment CSV row; its fields are the columns in order, ``n_samples`` for N.
+
+    A replicate row sets ``replicate``, its cell ``seed`` and its ``nre``; an
+    aggregate row leaves those None and sets the replicates' ``mean_nre``,
+    their 2.5%-97.5% band and, where the experiment has one, ``bound_eps``.
+    """
 
     experiment: int
     matrix: str
@@ -208,25 +207,16 @@ class RunRecord:
     dist: str
     s: Optional[float]
     n_samples: int
-    replicate: int
-    seed: int
-    nre: float
-
-
-@dataclass(frozen=True)
-class CellSummary:
-    """Aggregate over a cell's replicates."""
-
-    experiment: int
-    matrix: str
-    theta: float
-    dist: str
-    s: Optional[float]
-    n_samples: int
-    mean_nre: float
-    q025: float
-    q975: float
+    replicate: Optional[int] = None
+    seed: Optional[int] = None
+    nre: Optional[float] = None
     bound_eps: Optional[float] = None
+    q025: Optional[float] = None
+    q975: Optional[float] = None
+    mean_nre: Optional[float] = None
+
+
+CSV_COLUMNS = tuple("N" if f.name == "n_samples" else f.name for f in fields(ExperimentRow))
 
 
 def dgsm_experiment_factor(n: int) -> np.ndarray:
@@ -266,36 +256,27 @@ def _run_cells(config: ExperimentConfig):
     for ti, (theta, source, exact, curve) in enumerate(_experiment_targets(config)):
         for di, spec in enumerate(config.distributions):
             for ni, n_samples in enumerate(config.n_grid):
+                cell = dict(experiment=config.experiment, matrix=config.matrix, theta=theta,
+                            dist=spec.label, s=spec.sparsity, n_samples=n_samples)
                 nres = []
                 for r in range(config.replicates):
-                    cell_seed = derive_seed(
-                        config.seed, config.experiment, ti, di, ni, r
-                    )
-                    est = spec.estimate(source, n_samples, cell_seed)
-                    nre = normwise_relative_error(est, exact)
-                    nres.append(nre)
-                    records.append(RunRecord(
-                        experiment=config.experiment, matrix=config.matrix,
-                        theta=theta, dist=spec.label, s=spec.sparsity,
-                        n_samples=n_samples, replicate=r, seed=cell_seed,
-                        nre=nre,
-                    ))
-                summaries.append(CellSummary(
-                    experiment=config.experiment, matrix=config.matrix,
-                    theta=theta, dist=spec.label, s=spec.sparsity,
-                    n_samples=n_samples,
+                    seed = derive_seed(config.seed, config.experiment, ti, di, ni, r)
+                    nres.append(normwise_relative_error(spec.estimate(source, n_samples, seed), exact))
+                    records.append(ExperimentRow(**cell, replicate=r, seed=seed, nre=nres[-1]))
+                summaries.append(ExperimentRow(
+                    **cell, bound_eps=curve(n_samples) if curve is not None else None,
+                    q025=quantile_band(nres, 0.025), q975=quantile_band(nres, 0.975),
                     mean_nre=float(np.mean(nres)),
-                    q025=quantile_band(nres, 0.025),
-                    q975=quantile_band(nres, 0.975),
-                    bound_eps=curve(n_samples) if curve is not None else None,
                 ))
     return records, summaries
 
 
 def run_experiment(config: ExperimentConfig):
-    """Run every cell of a config; returns (records, summaries).
+    """Run every cell of a config; returns (records, summaries), lists of :class:`ExperimentRow`.
 
-    Cells whose replicate mean escapes the [q2.5, q97.5] band (possible for
+    ``records`` holds one replicate row per (theta, estimator, N, replicate)
+    cell, ``summaries`` one aggregate row per (theta, estimator, N).  Cells
+    whose replicate mean escapes the [q2.5, q97.5] band (possible for
     strongly skewed small-replicate cells) are flagged with a warning, never
     treated as fatal.
     """
@@ -365,21 +346,11 @@ def _fmt(value) -> str:
 
 
 def write_experiment_csv(path, records, summaries) -> None:
-    """Emit replicate rows followed by aggregate rows (empty replicate field)."""
+    """Emit replicate rows followed by aggregate rows, every field through ``_fmt``."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
-        for r in records:
-            writer.writerow([
-                r.experiment, r.matrix, _fmt(r.theta), r.dist, _fmt(r.s),
-                r.n_samples, r.replicate, r.seed, _fmt(r.nre), "", "", "", "",
-            ])
-        for s in summaries:
-            writer.writerow([
-                s.experiment, s.matrix, _fmt(s.theta), s.dist, _fmt(s.s),
-                s.n_samples, "", "", "", _fmt(s.bound_eps), _fmt(s.q025),
-                _fmt(s.q975), _fmt(s.mean_nre),
-            ])
+        writer.writerows([_fmt(v) for v in vars(row).values()] for row in (*records, *summaries))
 
 
 def quantile_band(values: Sequence[float], q: float) -> float:
@@ -441,8 +412,7 @@ def ks_student_t(samples: Sequence[float], dof: int, alpha: float = 0.01) -> KsR
 
 
 def _component_row(op: SymmetricOperator, index: int) -> np.ndarray:
-    if not (0 <= index < op.dim):
-        raise IndexError(f"component index {index} out of range for n={op.dim}")
+    _check_index(index, op.dim)
     basis = np.zeros(op.dim)
     basis[index] = 1.0
     row = op.apply(basis)

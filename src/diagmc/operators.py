@@ -52,6 +52,11 @@ def _check_finite(values: np.ndarray) -> None:
         raise ValueError("matrix entries must be finite")
 
 
+def _check_index(index: int, n: int) -> None:
+    if not (0 <= index < n):
+        raise IndexError(f"component index {index} out of range for n={n}")
+
+
 class UnsupportedOperationError(RuntimeError):
     """The operator cannot serve the request (e.g. no explicit entries)."""
 
@@ -243,7 +248,6 @@ class CooSymmetric(SymmetricOperator):
             raise ValueError("column index out of range")
         if np.any(rows < cols):
             raise ValueError("entries must lie on or below the diagonal")
-        _check_finite(values)
         off = rows != cols
         keys = np.concatenate([rows * dim + cols, cols[off] * dim + rows[off]])
         order = np.argsort(keys, kind="stable")  # duplicates stay in input order
@@ -255,6 +259,7 @@ class CooSymmetric(SymmetricOperator):
         # below those would stay resident (+11 MB RSS at n = 5*10^4)
         del order, off
         values = np.bincount(np.cumsum(first) - 1, values).astype(np.float64, copy=False)
+        _check_finite(values)  # after the sum: duplicates may overflow
         keys = keys[first]
         del first
         rows, cols = np.divmod(keys, dim)
@@ -417,10 +422,16 @@ class DecayingRankOne(_TestFamily):
     def __init__(self, n: int, theta: float):
         super().__init__(n, theta)
         j = np.arange(1, n + 1, dtype=np.float64)
-        self._x = np.exp(-j * (1.0 - self.theta))
+        with np.errstate(over="ignore"):  # refused below
+            self._x = np.exp(-j * (1.0 - self.theta))
         # x spans tens of orders of magnitude at small theta; compensated
         # summation keeps the norm exact to the last bit.
-        self._xnorm2 = math.fsum(float(v) * float(v) for v in self._x)
+        try:
+            self._xnorm2 = math.fsum(float(v) * float(v) for v in self._x)
+        except OverflowError:  # finite squares whose sum is not
+            self._xnorm2 = math.inf
+        if not 0.0 < self._xnorm2 < math.inf:  # x or its squares overflow, or every x_j^2 underflows
+            raise ValueError(f"theta={self.theta:g} puts ||x||^2 outside the float range at n={n}")
         self._xsum = math.fsum(self._x.tolist())
 
     def _matvec(self, mat):

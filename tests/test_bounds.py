@@ -743,3 +743,25 @@ class TestOverAndUnderflow:
         nc = bounds.normwise_constants(self._matrix(1e200, 1.0))
         assert (nc.k1, nc.delta1, nc.delta2) == (1.0, 0.0, 1e-200)
         assert bounds.plan_samples_normwise(nc, 0.1, 1e-6) == 1
+
+    def test_eps_whose_square_underflows(self):
+        # eps^2 (times delta) is 0: no finite N reaches the target, in every planner
+        inf = "^the planned sample count is inf: "
+        nc = bounds.normwise_constants(make_test_matrix("tridiag", 10, 0.5))
+        with pytest.raises(ValueError, match=inf):
+            bounds.plan_samples_normwise(nc, 1e-170, 0.1)
+        with pytest.raises(ValueError, match=inf):
+            bounds.plan_samples_dgsm(bounds.quadratic_model_constants(np.linspace(0.5, 1.0, 4)), 1e-170, 0.1)
+        with pytest.raises(ValueError, match=inf):
+            bounds.plan_samples_gaussian_normwise(make_test_matrix("tridiag", 100, 0.5), 1e-160, 1e-10)
+        cc = bounds.component_constants(make_test_matrix("tridiag", 10, 0.5), 3)
+        for method in bounds.COMPONENT_METHODS:
+            with pytest.raises(ValueError, match=inf):
+                bounds.plan_samples_component(cc, method, 1e-170, 0.1)
+
+    def test_relative_constants_underflow(self):
+        # Delta1 and Delta2 both underflow against ||D_A|| = 1e200: Delta3 = 0/0 is refused as nan
+        nc = bounds.normwise_constants(np.array([[0.1, 1e-160], [1e-160, 1e200]]))
+        assert (nc.delta1, nc.delta2) == (0.0, 0.0) and math.isnan(nc.delta3)
+        with pytest.raises(ValueError, match="^the planned sample count is nan: "):
+            bounds.plan_samples_normwise(nc, 0.1, 0.1)

@@ -1,10 +1,16 @@
 """CLI tests: subcommands, CSV artifacts, exit codes."""
 
+import contextlib
 import csv
+import io
 import math
 import re
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 
 from diagmc import estimators
 from diagmc.cli import EXIT_DATA, EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, main
@@ -345,6 +351,109 @@ class TestExtremeFiles:
     def test_refused_as_data_error(self, tmp_path, capsys, diag, a21, argv, message):
         path = _four_by_four(tmp_path / "m.mtx", diag, a21)
         assert _run(capsys, *argv, "--matrix-file", path) == (EXIT_DATA, "", f"data error: {message}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("--test-matrix", "tridiag:10:0.5", "--eps", "1e-170", "--delta", "0.1"),
+        ("--dist", "gaussian-normwise", "--test-matrix", "tridiag:100:0.5", "--eps", "1e-160", "--delta", "1e-10"),
+    ], ids=["normwise", "gaussian-normwise"])
+    def test_eps_whose_square_underflows(self, capsys, argv):
+        assert _run(capsys, "plan", *argv) == (
+            EXIT_DATA, "", "data error: the planned sample count is inf: the bound constants over- or underflow\n")
+
+    @pytest.mark.parametrize("n", [2, 10_001], ids=["dense", "sparse"])
+    def test_duplicates_whose_sum_overflows(self, tmp_path, capsys, n):
+        # a_11 = 1e308 + 1e308, each finite, is not stored as inf
+        path = tmp_path / "dup.mtx"
+        path.write_text(f"%%MatrixMarket matrix coordinate real symmetric\n{n} {n} {n + 1}\n1 1 1e308\n1 1 1e308\n"
+                        + "".join(f"{i} {i} 1\n" for i in range(2, n + 1)))
+        assert _run(capsys, "bounds", "--matrix-file", str(path)) == (
+            EXIT_DATA, "", "data error: matrix entries must be finite\n")
+
+
+# The grammar of the property test below: every float option draws from these,
+# half the time from the two plain values, so that many commands succeed
+_FLOATS = ("0", "5e-324", "1e-320", "1e-170", "1e-160", "0.1", "1", "1e154", "1e200",
+           "1e308", "-1e308", "nan", "inf", "-inf")
+_floats = st.sampled_from(("0.1", "1")) | st.sampled_from(_FLOATS)
+
+
+@st.composite
+def _matrix_market(draw) -> str:
+    """A real Matrix Market file of 1-5 rows, either format and symmetry, duplicates allowed."""
+    fmt, symmetry = draw(st.sampled_from(("coordinate", "array"))), draw(st.sampled_from(("general", "symmetric")))
+    n, mirror = draw(st.integers(1, 5)), draw(st.booleans())  # mirror: a general file with symmetric values
+    if fmt == "array":
+        lower = [(i, j) for j in range(n) for i in range(j, n)]  # column-major
+        values = {ij: draw(_floats) for ij in lower}
+        body = [values[ij] for ij in lower] if symmetry == "symmetric" else [
+            values[i, j] if i >= j else values[j, i] if mirror else draw(_floats) for j in range(n) for i in range(n)]
+        return f"%%MatrixMarket matrix array real {symmetry}\n{n} {n}\n" + "\n".join(body) + "\n"
+    entries = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n), _floats), max_size=8))
+    if symmetry == "symmetric":
+        entries = [(max(i, j), min(i, j), v) for i, j, v in entries]
+    elif mirror:
+        entries += [(j, i, v) for i, j, v in entries if i != j]
+    return (f"%%MatrixMarket matrix coordinate real {symmetry}\n{n} {n} {len(entries)}\n"
+            + "".join(f"{i} {j} {v}\n" for i, j, v in entries))
+
+
+@st.composite
+def _command(draw) -> tuple:
+    """``(argv, file)``: argv for ``diagmc`` from its documented grammar, with ``{dir}`` for a
+    scratch directory, and the text of its ``{dir}/m.mtx`` (None if it reads no file)."""
+    command = draw(st.sampled_from(("estimate", "plan", "bounds", "experiment")))
+    if command == "experiment":
+        grid = draw(st.lists(st.integers(1, 5), min_size=1, max_size=2))
+        argv = [command, "--id", str(draw(st.integers(1, 4))), "--n", str(draw(st.integers(1, 8))),
+                "--replicates", "1", "--n-grid", ",".join(map(str, grid)), "--out", "{dir}/e.csv"]
+        if draw(st.booleans()):
+            argv.append("--thetas=" + ",".join(draw(st.lists(_floats, min_size=1, max_size=2))))
+        if draw(st.booleans()):
+            argv.append(f"--delta={draw(_floats)}")
+        return argv, None
+    file = None
+    if draw(st.booleans()):
+        kind = draw(st.sampled_from(("rank1", "decay", "tridiag")))
+        argv = [command, "--test-matrix", f"{kind}:{draw(st.integers(1, 8))}:{draw(_floats)}"]
+    else:
+        file = draw(_matrix_market())
+        argv = [command, "--matrix-file", "{dir}/m.mtx"]
+    dists = ["rademacher", "gaussian", "normalized-gaussian", "gaussian-normwise", "sparse:3"]
+    argv.append("--dist=" + draw(st.sampled_from(dists) | _floats.map("sparse:{}".format)))
+    if command == "estimate":
+        return argv + ["--samples", str(draw(st.integers(1, 5))), "--out", "{dir}/d.csv"], file
+    if command == "plan":
+        # the planners are where eps and delta under- and overflow: no plain values here
+        argv += [f"--eps={draw(st.sampled_from(_FLOATS))}", f"--delta={draw(st.sampled_from(_FLOATS))}"]
+    if draw(st.booleans()):
+        argv.append(f"--component={draw(st.integers(-1, 5))}")
+    return argv, file
+
+
+class TestNoTraceback:
+    """No argv of the grammar ends in a traceback: an answer, an infeasible plan or one error line."""
+
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    @given(_command())
+    # the inputs that once escaped: an eps whose square underflows
+    @example((["plan", "--test-matrix", "tridiag:10:0.5", "--eps=1e-170", "--delta=0.1"], None))
+    @example((["plan", "--dist=gaussian-normwise", "--test-matrix", "tridiag:100:0.5",
+               "--eps=1e-160", "--delta=1e-10"], None))
+    def test_exit_code_and_message(self, command):
+        argv, file = command
+        with tempfile.TemporaryDirectory() as directory:
+            if file is not None:
+                Path(directory, "m.mtx").write_text(file)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([arg.replace("{dir}", directory) for arg in argv])
+        event(f"{argv[0]} exits {code}")
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_INFEASIBLE)
+        if code in (EXIT_USAGE, EXIT_DATA):
+            prefix = "usage error: " if code == EXIT_USAGE else "data error: "
+            assert err.getvalue().startswith(prefix) and err.getvalue().count("\n") == 1
+        if code == EXIT_INFEASIBLE:
+            assert "infeasible: " in out.getvalue()
 
 
 class TestExperiment:

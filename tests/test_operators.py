@@ -247,6 +247,25 @@ class TestCooSymmetric:
         with pytest.raises(ValueError, match="finite"):
             CooSymmetric(3, rows=[0, 2], cols=[0, 1], values=[1.0, bad])
 
+    @pytest.mark.parametrize("rows,cols", [([0, 0], [0, 0]), ([2, 2], [1, 1])], ids=["diagonal", "off-diagonal"])
+    def test_duplicate_sum_that_overflows_rejected(self, rows, cols):
+        # each value is finite; their sum is not, so it must not be stored as inf
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            CooSymmetric(3, rows=rows, cols=cols, values=[1e308, 1e308])
+        # duplicates of opposite sign still sum to a finite entry
+        op = CooSymmetric(3, rows=rows, cols=cols, values=[1e308, -1e308])
+        assert not np.any(op.to_dense())
+
+
+class TestDecayOutOfRange:
+    @pytest.mark.parametrize("n,theta", [(2, 1e154), (2, -1e308), (1000, 2.0), (400_000, 1.001)],
+                             ids=["overflow", "underflow", "large-n", "sum-overflows"])
+    def test_norm_outside_float_range_rejected(self, n, theta):
+        # x_j = exp(-j (1 - theta)) overflows, or all x_j^2 underflow: A = x x^T / ||x||^2 would be nan
+        with pytest.warns(UserWarning, match="outside the documented range"):
+            with pytest.raises(ValueError, match=r"^theta=.* puts \|\|x\|\|\^2 outside the float range at n="):
+                DecayingRankOne(n, theta)
+
 
 class TestNonFiniteDense:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
