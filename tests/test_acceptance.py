@@ -7,6 +7,7 @@ criterion carries one.
 """
 
 import collections
+import functools
 import math
 import time
 
@@ -186,28 +187,82 @@ def test_criterion_06_sparse_degradation_experiment_3():
     assert monotone
 
 
+# Criterion 7 on the default seed, at N = 512.  Rademacher and normalized
+# Gaussian perform alike: their mean NREs differ by a fraction of a percent,
+# well inside the replicate noise at R = 100, so no seed-free test can order
+# them.  The claim is that they agree within Z_AGREE standard errors of the
+# difference of their means (a two-sided false-failure rate of about 0.3%
+# when the means are equal, by the normal approximation), and that both sit
+# an order of magnitude below Gaussian, with sparse:3 grouped with Gaussian.
+Z_AGREE = 3.0
+N_ORDERING = 512
+
+
+@functools.lru_cache(maxsize=None)
+def _experiment_2_records():
+    (config,) = standard_experiment_configs(2, seed=0)
+    return config, run_experiment(config)[0]
+
+
+def _ordering(nres):
+    """(agree, separated, grouping, detail) of criterion 7 on replicate NREs by estimator."""
+    rad, norm, gau, sparse3 = (
+        np.asarray(nres[k]) for k in ("rademacher", "normalized_gaussian", "gaussian", "sparse:3")
+    )
+    se = math.sqrt(rad.var(ddof=1) / rad.size + norm.var(ddof=1) / norm.size)
+    z = (rad.mean() - norm.mean()) / se
+    agree = abs(z) <= Z_AGREE
+    separated = max(rad.mean(), norm.mean()) <= 0.1 * gau.mean()
+    grouping = abs(sparse3.mean() - gau.mean()) <= 0.25 * gau.mean()
+    detail = (f"rad={rad.mean():.4f}, norm={norm.mean():.4f}, |z|={abs(z):.2f} <= {Z_AGREE}; "
+              f"gauss={gau.mean():.4f} >= 10x both; "
+              f"|sparse3-gauss|/gauss={abs(sparse3.mean() - gau.mean()) / gau.mean():.3f}")
+    return agree, separated, grouping, detail
+
+
+def _nres_at_ordering_n(records):
+    nres = collections.defaultdict(list)
+    for r in records:
+        if r.n_samples == N_ORDERING:
+            nres[r.dist].append(r.nre)
+    return nres
+
+
 def test_criterion_07_estimator_ordering_experiment_2():
-    # The leading inequality (rademacher <= normalized-gaussian) compares two
-    # estimators whose true mean NRE differs by only ~0.1-0.4% here, against
-    # ~2% replicate noise at R=100, so individual seeds can flip it; the
-    # criterion holds in expectation and this deterministic reproduction pins
-    # the first seed that exhibits the expected ordering.  The other two
-    # comparisons pass with order-of-magnitude margins at every seed.
     start = time.perf_counter()
-    (config,) = standard_experiment_configs(2, seed=1)
-    _, summaries = run_experiment(config)
-    at_512 = {s.dist: s.mean_nre for s in summaries if s.n_samples == 512}
-    rad, norm = at_512["rademacher"], at_512["normalized_gaussian"]
-    gau, sparse3 = at_512["gaussian"], at_512["sparse:3"]
-    ordering = rad <= norm <= 1.1 * gau
-    grouping = abs(sparse3 - gau) <= 0.25 * gau
+    _, records = _experiment_2_records()
+    agree, separated, grouping, detail = _ordering(_nres_at_ordering_n(records))
     elapsed = time.perf_counter() - start
-    ok = ordering and grouping
-    _report(7, "estimator ordering (experiment 2)", ok,
-            f"rad={rad:.4f} <= norm={norm:.4f} <= 1.1*gauss={1.1 * gau:.4f}; "
-            f"|sparse3-gauss|/gauss={abs(sparse3 - gau) / gau:.3f}", elapsed)
-    assert ordering
+    _report(7, "estimator ordering (experiment 2)", agree and separated and grouping,
+            detail, elapsed)
+    assert agree
+    assert separated
     assert grouping
+
+
+def test_criterion_07_rejects_biased_rademacher():
+    # the same Rademacher estimates, each shifted by 0.3% of the exact diagonal:
+    # about a quarter of their mean NRE
+    config, records = _experiment_2_records()
+    op = make_test_matrix(config.matrix, config.n, config.thetas[0])
+    exact = op.exact_diag()
+    nres = _nres_at_ordering_n(records)
+    cells = [r for r in records if r.n_samples == N_ORDERING and r.dist == "rademacher"]
+    values = [estimate_diagonal(op, rademacher(), N_ORDERING, r.seed).value for r in cells]
+    assert [normwise_relative_error(v, exact) for v in values] == nres["rademacher"]
+    nres["rademacher"] = [normwise_relative_error(v + 0.003 * exact, exact) for v in values]
+    agree, separated, grouping, _ = _ordering(nres)
+    assert not agree
+    assert separated and grouping
+
+
+def test_criterion_07_rejects_sparse_in_place_of_rademacher():
+    _, records = _experiment_2_records()
+    nres = _nres_at_ordering_n(records)
+    nres["rademacher"] = nres["sparse:3"]
+    agree, separated, _, _ = _ordering(nres)
+    assert not agree
+    assert not separated
 
 
 def test_criterion_08_t_distribution_law():
