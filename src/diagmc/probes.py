@@ -10,6 +10,14 @@ Probes are addressed by a ``(seed, counter)`` pair.  Probe ``k`` of a stream
 is synthesised from a fixed window of raw Philox words, so any sub-range of
 a stream can be regenerated independently of batch boundaries, threads or
 the order in which other probes were drawn.
+
+Stream format 3 sizes the window by family, rounded up to whole Philox
+blocks of 4 words.  A Rademacher probe (and ``sparse_rademacher(1)``, which
+is the same law) takes 64 entries from each word: ceil(n/64) words, entry
+``i`` being bit ``i mod 64`` of word ``i // 64``, read from the word's value
+(``(w >> b) & 1``, least significant bit first), a set bit giving +1.
+Sparse (s != 1), Gaussian and uniform probes take n words, one word per
+entry (a pair per two Gaussian entries), as in format 2.
 """
 
 import math
@@ -43,18 +51,16 @@ RADEMACHER = "rademacher"
 SPARSE_RADEMACHER = "sparse_rademacher"
 GAUSSIAN = "gaussian"
 
-# Version of the map from raw Philox words to entries.  Format 2 gives the
-# Rademacher, sparse and uniform entries of format 1 bit for bit; Gaussian
+# Version of the map from raw Philox words to entries.  Format 3 changes only
+# the Rademacher map of format 2, to one bit per entry.  Format 2 gave the
+# Rademacher, sparse and uniform entries of format 1 bit for bit; its Gaussian
 # entries differ from format 1 (cos/sin Box-Muller) by at most 2^-50 times
 # their pair's radius.
-STREAM_FORMAT = 2
+STREAM_FORMAT = 3
 
 _MASK64 = (1 << 64) - 1
 # float in [0, 1) from the top 53 bits of a word
 _INV53 = 2.0**-53
-# float64 bit patterns
-_SIGN_BIT = np.uint64(1 << 63)
-_MINUS_ONE_BITS = np.uint64(0xBFF0000000000000)
 
 
 def validate_sparsity(s: float) -> float:
@@ -178,10 +184,11 @@ def derive_seed(seed: int, *fields: int) -> int:
     return h
 
 
-def _words_per_probe(n: int) -> int:
+def _words_per_probe(n: int, entries_per_word: int = 1) -> int:
     # Each probe owns a fixed window of raw words, rounded up to whole
     # Philox blocks (4 words) so windows start on block boundaries.
-    return 4 * ((n + 3) // 4)
+    words = -(-n // entries_per_word)
+    return 4 * ((words + 3) // 4)
 
 
 # The one block policy: at most _BLOCK_VECTORS length-n vectors and _BLOCK_BYTES
@@ -209,11 +216,15 @@ def _raw_words(seed: int, first_word: int, n_words: int) -> np.ndarray:
 
 
 def _fill_rademacher(out: np.ndarray, words: np.ndarray) -> None:
-    # u < 1/2 exactly when bit 63 is clear: AND keeps that bit, XOR with the
-    # bits of -1.0 turns a clear bit into -1.0 and a set one into +1.0.
-    bits = out.view(np.uint64)
-    np.bitwise_and(words[:, : len(out)].T, _SIGN_BIT, out=bits)
-    np.bitwise_xor(bits, _MINUS_ONE_BITS, out=bits)
+    # Entry i is bit i mod 64 of word i // 64.  Unpacking the little-endian
+    # bytes least significant bit first reads the bits by value on any
+    # platform; 2 bit - 1 is made in int8 and cast into the block in one copy.
+    signs = np.unpackbits(
+        words.astype("<u8", copy=False).view(np.uint8), axis=1, count=len(out), bitorder="little"
+    ).view(np.int8)
+    signs *= 2
+    signs -= 1
+    np.copyto(out, signs.T)
 
 
 def _fill_sparse(out: np.ndarray, words: np.ndarray, s: float) -> None:
@@ -290,7 +301,11 @@ def _fill_gaussian(out: np.ndarray, words: np.ndarray) -> None:
 
 
 def _sample_block(
-    n: int, state: RngState, count: int, fill: Callable[[np.ndarray, np.ndarray], None]
+    n: int,
+    state: RngState,
+    count: int,
+    fill: Callable[[np.ndarray, np.ndarray], None],
+    entries_per_word: int = 1,
 ) -> tuple[np.ndarray, RngState]:
     # The word window shared by every public sampler: ``fill`` writes vector j
     # of the block, built from the raw words of counter ``state.counter + j``
@@ -301,7 +316,7 @@ def _sample_block(
         raise ValueError("count must be nonnegative")
     out = np.empty((n, count))
     if count:
-        w = _words_per_probe(n)
+        w = _words_per_probe(n, entries_per_word)
         fill(out, _raw_words(state.seed, state.counter * w, count * w).reshape(count, w))
     return out, state.advance(count)
 
@@ -315,12 +330,11 @@ def sample_probe_block(
     block decomposition has no effect on the values drawn.
     """
     if dist.kind == GAUSSIAN:
-        fill = _fill_gaussian
-    elif dist.kind == RADEMACHER:
-        fill = _fill_rademacher
-    else:
-        fill = partial(_fill_sparse, s=dist.s)
-    return _sample_block(n, state, count, fill)
+        return _sample_block(n, state, count, _fill_gaussian)
+    if dist.s == 1.0:
+        # Rademacher, and sparse_rademacher(1) with it
+        return _sample_block(n, state, count, _fill_rademacher, entries_per_word=64)
+    return _sample_block(n, state, count, partial(_fill_sparse, s=dist.s))
 
 
 def sample_probe(

@@ -5,7 +5,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diagmc import probes
@@ -122,9 +122,10 @@ class TestLaws:
 
 class TestDeterminism:
     GOLDEN = {
-        "rademacher": [1.0, 1.0, 1.0, -1.0, -1.0, -1.0],
+        # stream format 3: the low six bits of Philox(key=42, counter=5)'s first word
+        "rademacher": [-1.0, 1.0, -1.0, 1.0, 1.0, 1.0],
         "sparse3": [0.0, 0.0, 0.0, 0.0, -1.7320508075688772, 0.0],
-        # stream format 2
+        # stream formats 2 and 3
         "gaussian": [
             0.0453845885501869, -0.8841466673023727, -0.1204306896950813,
             1.1592929956103182, -0.8020029708724918, 2.1359433518840056,
@@ -224,17 +225,20 @@ class TestBlockCounts:
         assert list(_block_counts(10**7, 3)) == [1, 1, 1]
 
 
+def _window_words(state, count, w):
+    """Raw words of probes ``state.counter`` to ``state.counter + count - 1``, one row
+    per probe, for windows of ``w`` words."""
+    return probes._raw_words(state.seed, state.counter * w, count * w).reshape(count, w)
+
+
 def _format1_block(kind, n, state, count, s=1.0, low=-1.0, high=1.0):
     """Stream format 1, kept as the reference: float uniforms compared with
     ``np.where`` and cos/sin Box-Muller.  Returns the (n, count) block and, for
     Gaussians, the radius of each entry's pair."""
-    w = probes._words_per_probe(n)
-    words = probes._raw_words(state.seed, state.counter * w, count * w).reshape(count, w)
+    words = _window_words(state, count, 4 * ((n + 3) // 4))
     u = (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
     radius = None
-    if kind == "rademacher":
-        z = np.where(u[:, :n] < 0.5, -1.0, 1.0)
-    elif kind == "sparse":
+    if kind == "sparse":
         lo, root = 1.0 / (2.0 * s), math.sqrt(s)
         z = np.where(u[:, :n] < lo, -root, np.where(u[:, :n] >= 1.0 - lo, root, 0.0))
     elif kind == "uniform":
@@ -253,14 +257,41 @@ def _format1_block(kind, n, state, count, s=1.0, low=-1.0, high=1.0):
 
 
 def _format2_block(kind, n, state, count, s=1.0):
+    """Stream format 2, kept as the reference for the maps format 3 keeps: sparse
+    (s != 1) and uniform entries are format 1's bit for bit, Gaussians are the
+    whole-block Box-Muller passes of :func:`_reference_fill_gaussian`."""
+    if kind != "gaussian":
+        return _format1_block(kind, n, state, count, s, low=-0.5, high=2.0)[0]
+    out = np.empty((n, count))
+    _reference_fill_gaussian(out, _window_words(state, count, 4 * ((n + 3) // 4)))
+    return out
+
+
+def _format3_rademacher(n, state, count):
+    """Stream format 3's Rademacher map, one entry at a time: entry i of a probe is
+    bit i mod 64 of word i // 64 of its window of ceil(n/64) words, rounded up to
+    whole Philox blocks; a set bit gives +1."""
+    words = _window_words(state, count, 4 * ((n + 255) // 256))
+    out = np.empty((n, count))
+    for k in range(count):
+        for i in range(n):
+            out[i, k] = 1.0 if int(words[k, i // 64]) >> (i % 64) & 1 else -1.0
+    return out
+
+
+def _live_block(kind, n, state, count, s=1.0):
     if kind == "uniform":
         return sample_uniform_block(n, state, count, low=-0.5, high=2.0)[0]
     dist = {"rademacher": rademacher(), "sparse": sparse_rademacher(s), "gaussian": gaussian()}[kind]
     return sample_probe_block(dist, n, state, count)[0]
 
 
-def _assert_matches_format1(kind, n, state, count, s=1.0):
-    block = _format2_block(kind, n, state, count, s)
+def _assert_matches_reference(kind, n, state, count, s=1.0):
+    # Rademacher against format 3's bit reference, every other map against format 1
+    block = _live_block(kind, n, state, count, s)
+    if kind == "rademacher":
+        assert np.array_equal(block, _format3_rademacher(n, state, count))
+        return block, None
     reference, radius = _format1_block(kind, n, state, count, s, low=-0.5, high=2.0)
     if kind == "gaussian":
         assert np.all(np.abs(block - reference) <= 2.0**-50 * radius)
@@ -270,21 +301,21 @@ def _assert_matches_format1(kind, n, state, count, s=1.0):
 
 
 class TestStreamFormat2:
-    def test_version_is_exported(self):
-        import diagmc
-
-        assert STREAM_FORMAT == diagmc.STREAM_FORMAT == 2
+    """Format 2, the differential reference for the maps format 3 keeps: sparse
+    (s != 1) and uniform entries equal format 1's bit for bit, and Gaussians lie
+    within 2^-50 of their pair's radius of it.  Rademacher edge words are read
+    through format 3's map."""
 
     @settings(max_examples=60, deadline=None)
     @given(
         n=st.integers(1, 70),
         start=st.integers(0, 2**40),
         count=st.integers(1, 40),
-        s=st.sampled_from([1.0, 2.0, 2.5, 3.0, 10.0, 50.0]),
-        kind=st.sampled_from(["rademacher", "sparse", "uniform", "gaussian"]),
+        s=st.sampled_from([2.0, 2.5, 3.0, 10.0, 50.0]),
+        kind=st.sampled_from(["sparse", "uniform", "gaussian"]),
     )
     def test_matches_format1(self, n, start, count, s, kind):
-        _assert_matches_format1(kind, n, RngState(derive_seed(n, start), start), count, s)
+        _assert_matches_reference(kind, n, RngState(derive_seed(n, start), start), count, s)
 
     # Philox words where the maps from words to entries change branch: 0 gives
     # u = 0 (u1 = 2^-53, the largest radius), 2^63 gives u = 1/2 (the pole of
@@ -299,7 +330,7 @@ class TestStreamFormat2:
     def test_edge_words_gaussian(self, monkeypatch):
         pairs = [(a, b) for a in self.EDGE for b in self.EDGE]
         self._feed(monkeypatch, [word for pair in pairs for word in pair] + [0, 0])
-        block, radius = _assert_matches_format1("gaussian", 18, RngState(0), 2)
+        block, radius = _assert_matches_reference("gaussian", 18, RngState(0), 2)
         assert np.array_equal(block[:, 0], block[:, 1])
         assert np.all(np.isfinite(block))
         z, r = block[:, 0].reshape(9, 2), radius[0::2, 0]
@@ -309,24 +340,73 @@ class TestStreamFormat2:
         assert np.all(np.abs(z[:6]) <= r[:6, None])
         assert np.array_equal(np.sign(z[:6]), np.tile([[1, 0], [-1, 1], [1, -1]], (2, 1)))
 
-    @pytest.mark.parametrize("s", [1.0, 2.0, 2.5, 3.0, 10.0, 50.0, 1e17])
+    @pytest.mark.parametrize("s", [2.0, 2.5, 3.0, 10.0, 50.0, 1e17])
     def test_edge_words_sparse_and_thresholds(self, monkeypatch, s):
         lo = 1.0 / (2.0 * s)
         thresholds = [math.ceil(lo * 2.0**53), math.ceil((1.0 - lo) * 2.0**53)]
         words = self.EDGE + [(t << 11) + d for t in thresholds for d in (-1, 0) if t < 2**53]
         self._feed(monkeypatch, words)
-        block, _ = _assert_matches_format1("sparse", len(words), RngState(0), 1, s)
+        block, _ = _assert_matches_reference("sparse", len(words), RngState(0), 1, s)
         root = math.sqrt(s)
-        assert block[:3, 0].tolist() == [-root, 0.0 if s > 1 else root, root if s < 1e17 else 0.0]
+        assert block[:3, 0].tolist() == [-root, 0.0, root if s < 1e17 else 0.0]
 
     @pytest.mark.parametrize("kind", ["rademacher", "uniform"])
     def test_edge_words_rademacher_and_uniform(self, monkeypatch, kind):
         self._feed(monkeypatch, self.EDGE + [(1 << 63) - 1])
-        block, _ = _assert_matches_format1(kind, 4, RngState(0), 1)
         if kind == "rademacher":
-            assert block[:, 0].tolist() == [-1.0, 1.0, 1.0, -1.0]
+            # the four words are one 256-entry window, read from bit 0 of each up
+            block, _ = _assert_matches_reference(kind, 256, RngState(0), 1)
+            signs = np.repeat([-1.0, 1.0, 1.0, -1.0], [127, 1, 127, 1])
+            assert np.array_equal(block[:, 0], signs)
         else:
+            block, _ = _assert_matches_reference(kind, 4, RngState(0), 1)
             assert block[0, 0] == -0.5 and block[1, 0] == 0.75 and block[2, 0] < 2.0
+
+
+class TestStreamFormat3:
+    def test_version_is_exported(self):
+        import diagmc
+
+        assert STREAM_FORMAT == diagmc.STREAM_FORMAT == 3
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(1, 300),
+        start=st.integers(0, 2**40),
+        count=st.integers(1, 12),
+        s=st.sampled_from([1.0, None]),
+    )
+    @example(n=64, start=0, count=3, s=None)
+    @example(n=65, start=5, count=3, s=1.0)
+    @example(n=1, start=2**40, count=1, s=None)
+    def test_rademacher_matches_bit_reference(self, n, start, count, s):
+        # sparse_rademacher(1) is the same law through the same fill
+        dist = rademacher() if s is None else sparse_rademacher(s)
+        state = RngState(derive_seed(n, start, count), start)
+        block, _ = sample_probe_block(dist, n, state, count)
+        assert np.array_equal(block, _format3_rademacher(n, state, count))
+
+    @pytest.mark.parametrize("word, sign", [(0, -1.0), ((1 << 64) - 1, 1.0)])
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 300])
+    def test_all_zero_and_all_one_words(self, monkeypatch, word, sign, n):
+        TestStreamFormat2._feed(monkeypatch, [word])
+        block, _ = sample_probe_block(rademacher(), n, RngState(0, 3), 5)
+        assert np.array_equal(block, np.full((n, 5), sign))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 300),
+        start=st.integers(0, 2**40),
+        count=st.integers(1, 40),
+        s=st.sampled_from([2.0, 2.5, 3.0, 10.0, 50.0]),
+        kind=st.sampled_from(["sparse", "uniform", "gaussian"]),
+    )
+    def test_other_families_keep_format2(self, n, start, count, s, kind):
+        state = RngState(derive_seed(n, start, count), start)
+        block = _live_block(kind, n, state, count, s)
+        reference = _format2_block(kind, n, state, count, s)
+        assert np.array_equal(block, reference)
+        assert np.array_equal(np.signbit(block), np.signbit(reference))
 
 
 def _reference_fill_gaussian(out, words):
@@ -403,7 +483,8 @@ class TestGaussianTiles:
 
 @pytest.mark.parametrize("kind", ["rademacher", "sparse", "gaussian", "uniform"])
 def test_block_peak_memory(peak_bytes, kind):
-    # raw words and the returned block, plus at most a quarter block of scratch
-    block, peak = peak_bytes(lambda: _format2_block(kind, 50_000, RngState(3), 64, s=3.0))
+    # raw words and the returned block, plus at most a quarter block of scratch;
+    # Rademacher words and sign bytes take an eighth of the block between them
+    block, peak = peak_bytes(lambda: _live_block(kind, 50_000, RngState(3), 64, s=3.0))
     assert block.shape == (50_000, 64)
-    assert peak <= 2.5 * block.nbytes
+    assert peak <= (1.25 if kind == "rademacher" else 2.5) * block.nbytes
