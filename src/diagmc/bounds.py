@@ -60,7 +60,8 @@ def _row_sums(matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(a_ii, sum_{j != i} a_ij^2, sum_{j != i} |a_ij|) of an operator or raw array."""
     if not isinstance(matrix, SymmetricOperator):
         matrix = DenseSymmetric.from_dense(matrix)
-    return matrix.row_sums()
+    with np.errstate(over="ignore"):  # a constant that overflows is refused by the caller
+        return matrix.row_sums()
 
 
 def _check_args(n_samples=None, t=None, eps=None, delta=None) -> None:
@@ -274,7 +275,7 @@ class ComponentConstants:
     ``off2sq`` is the squared off-diagonal mass sum_{j != i} a_ij^2, as
     ``row_sums`` reduces it (the Rademacher error variance per sample; it is 0
     only for a diagonal row or one whose squares underflow), ``col_norm`` is
-    sqrt(off2sq + a_ii^2), ``l1``/``l2`` the Gaussian bound
+    hypot(sqrt(off2sq), a_ii), ``l1``/``l2`` the Gaussian bound
     constants, ``delta1i``/``delta2i`` their relative forms, and ``psi`` the
     diagonal-dominance ratio |a_ii| / sqrt(off2sq) (None for a diagonal row,
     whose estimate is error-free).
@@ -296,31 +297,27 @@ class ComponentConstants:
 
 
 def component_constants(matrix, index: int) -> ComponentConstants:
-    """Componentwise bound constants for one (0-based) diagonal entry."""
+    """Componentwise bound constants for one (0-based) diagonal entry.
+
+    A constant that leaves the float range raises ``ValueError``, as in
+    :func:`normwise_constants`.  Only a zero a_ii gives infinite relative
+    forms ``delta1i``/``delta2i``, which the planner refuses by name.
+    """
     diag, off2, _ = _row_sums(matrix)
     _check_index(index, diag.shape[0])
     a_ii, off2sq = float(diag[index]), float(off2[index])
-    col_norm_sq = off2sq + a_ii * a_ii
-    col_norm = math.sqrt(col_norm_sq)
+    col_norm = math.hypot(math.sqrt(off2sq), a_ii)
+    c = dict(col_norm=col_norm, off2sq=off2sq, l1=abs(a_ii) + col_norm,
+             l2=a_ii * a_ii + (off2sq + a_ii * a_ii))
     if a_ii != 0.0:
         ratio = col_norm / abs(a_ii)
-        delta1i = 1.0 + ratio
-        delta2i = 1.0 + ratio * ratio
-    else:
-        delta1i = math.inf
-        delta2i = math.inf
-    psi = abs(a_ii) / math.sqrt(off2sq) if off2sq > 0.0 else None
-    return ComponentConstants(
-        index=index,
-        a_ii=a_ii,
-        col_norm=col_norm,
-        off2sq=off2sq,
-        l1=abs(a_ii) + col_norm,
-        l2=a_ii * a_ii + col_norm_sq,
-        delta1i=delta1i,
-        delta2i=delta2i,
-        psi=psi,
-    )
+        c.update(delta1i=1.0 + ratio, delta2i=1.0 + ratio * ratio)
+    if off2sq > 0.0:
+        c.update(psi=abs(a_ii) / math.sqrt(off2sq))
+    bad = [f"{name} = {v:g}" for name, v in c.items() if not math.isfinite(v)]
+    if bad:
+        raise ValueError(f"componentwise bound constants are not finite: {', '.join(bad)}")
+    return ComponentConstants(index=index, a_ii=a_ii, **{"delta1i": math.inf, "delta2i": math.inf, "psi": None, **c})
 
 
 def _check_method(method: str) -> None:

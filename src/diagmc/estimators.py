@@ -181,14 +181,15 @@ def _run_estimate(
         raise ValueError("n_samples must be at least 1")
     state = _resolve_state(seed)
     est = DiagonalEstimate(dim, mode)
-    for count in _block_counts(dim, n_samples):
-        left, right, state = draw(state, count)
-        est.update_block(left, right)
-        if not np.isfinite(est.numerator).all():
-            first = state.counter - count
-            raise ValueError(
-                f"non-finite matvec or gradient values at probe counters [{first}, {state.counter})"
-            )
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum is refused below
+        for count in _block_counts(dim, n_samples):
+            left, right, state = draw(state, count)
+            est.update_block(left, right)
+            if not np.isfinite(est.numerator).all():
+                first = state.counter - count
+                raise ValueError(
+                    f"non-finite matvec or gradient values at probe counters [{first}, {state.counter})"
+                )
     return est
 
 

@@ -103,7 +103,8 @@ def _build(n: int, symmetry: str, values, rows=None, cols=None, at=None) -> Symm
         return DenseSymmetric._wrap(m)
     m = values.reshape((n, n), order="F") if rows is None else np.zeros((n, n))
     if rows is not None:
-        np.add.at(m, (rows, cols), values)
+        with np.errstate(over="ignore"):  # duplicates whose sum overflows are refused below
+            np.add.at(m, (rows, cols), values)
     try:  # a general file must hold symmetric entries already
         return DenseSymmetric.from_dense(m)
     except AsymmetricMatrixError as err:

@@ -359,7 +359,11 @@ class CooSymmetric(SymmetricOperator):
 
 
 class _TestFamily(SymmetricOperator):
-    """A test family at n >= 2 and a finite theta; one outside ``theta_range`` warns."""
+    """A test family at n >= 2 and a finite theta; one outside ``theta_range`` warns.
+
+    The warning comes only once the family has accepted the theta, so a theta
+    that is refused gets the refusal alone.
+    """
 
     def __init__(self, n: int, theta: float):
         if n < 2:
@@ -368,6 +372,7 @@ class _TestFamily(SymmetricOperator):
         self.theta = float(theta)
         if not math.isfinite(self.theta):
             raise ValueError(f"theta must be finite, got {self.theta}")
+        self._prepare()
         lo, hi = self.theta_range
         if not (lo <= self.theta <= hi):
             warnings.warn(
@@ -376,8 +381,12 @@ class _TestFamily(SymmetricOperator):
                 stacklevel=2,
             )
 
+    def _prepare(self) -> None:
+        """Compute what the closed forms share; raises ``ValueError`` for a theta they cannot take."""
+
     def exact_diag(self) -> np.ndarray:
-        return self.row_sums()[0]
+        with np.errstate(over="ignore"):  # the off-diagonal sums, which may overflow, are dropped
+            return self.row_sums()[0]
 
 
 class IdentityPlusRankOne(_TestFamily):
@@ -419,19 +428,19 @@ class DecayingRankOne(_TestFamily):
     kind = "decay"
     theta_range = (0.1, 1.0)
 
-    def __init__(self, n: int, theta: float):
-        super().__init__(n, theta)
-        j = np.arange(1, n + 1, dtype=np.float64)
+    def _prepare(self) -> None:
+        j = np.arange(1, self._dim + 1, dtype=np.float64)
         with np.errstate(over="ignore"):  # refused below
             self._x = np.exp(-j * (1.0 - self.theta))
+            squares = (self._x * self._x).tolist()
         # x spans tens of orders of magnitude at small theta; compensated
         # summation keeps the norm exact to the last bit.
         try:
-            self._xnorm2 = math.fsum(float(v) * float(v) for v in self._x)
+            self._xnorm2 = math.fsum(squares)
         except OverflowError:  # finite squares whose sum is not
             self._xnorm2 = math.inf
         if not 0.0 < self._xnorm2 < math.inf:  # x or its squares overflow, or every x_j^2 underflows
-            raise ValueError(f"theta={self.theta:g} puts ||x||^2 outside the float range at n={n}")
+            raise ValueError(f"theta={self.theta:g} puts ||x||^2 outside the float range at n={self._dim}")
         self._xsum = math.fsum(self._x.tolist())
 
     def _matvec(self, mat):
@@ -450,9 +459,9 @@ class DecayingRankOne(_TestFamily):
         u = x * x / self._xnorm2
         u1 = float(u[0])
         k1 = u1 * (1.0 - u1)
-        tail = math.fsum(float(v) for v in x[1:])
+        tail = math.fsum(x[1:].tolist())
         k2 = float(x[0]) * tail / self._xnorm2
-        d_num = math.fsum(float(ui) * (1.0 - float(ui)) for ui in u)
+        d_num = math.fsum((u * (1.0 - u)).tolist())
         return AnalyticConstants(
             k1=k1,
             k2=k2,

@@ -690,7 +690,7 @@ class TestOffDiagonalMass:
         for i in {0, op.dim // 2, op.dim - 1}:
             cc = bounds.component_constants(op, i)
             np.testing.assert_allclose(cc.off2sq, want[i], rtol=1e-13, atol=1e-300)
-            assert cc.col_norm == math.sqrt(cc.off2sq + cc.a_ii * cc.a_ii)
+            assert cc.col_norm == math.hypot(math.sqrt(cc.off2sq), cc.a_ii)
 
     @pytest.mark.parametrize("name", ["dense", "coo-split", "dense-dominant", "coo-dominant"])
     def test_t_law_standardization(self, name):
@@ -734,9 +734,15 @@ class TestOverAndUnderflow:
     @pytest.mark.parametrize("method", ["rademacher", "gaussian", "normalized_gaussian"])
     @pytest.mark.parametrize("diag,off", [(1e200, 1e200), (1e-170, 1.0)])
     def test_component_plan_not_finite(self, method, diag, off):
-        cc = bounds.component_constants(self._matrix(diag, off), 0)
-        with pytest.raises(ValueError, match="^the planned sample count is (inf|nan): "):
-            bounds.plan_samples_component(cc, method, 0.1, 1e-6)
+        # off2sq overflows, or Delta2i = 1 + (col_norm / a_ii)^2 does: no constants to plan from
+        with pytest.raises(ValueError, match="^componentwise bound constants are not finite: "):
+            bounds.plan_samples_component(bounds.component_constants(self._matrix(diag, off), 0),
+                                          method, 0.1, 1e-6)
+
+    def test_component_col_norm_by_hypot(self):
+        # a_ii^2 overflows and a_ii does not: col_norm stays finite, only L2 = 2 a_ii^2 + off2sq does not
+        with pytest.raises(ValueError, match="^componentwise bound constants are not finite: l2 = inf$"):
+            bounds.component_constants(self._matrix(1e160, 1.0), 0)
 
     def test_huge_diagonal_keeps_finite_constants(self):
         # ||D_A||^2 overflows, so Delta1 = K1 / ||D_A||^2 underflows to 0: a real value

@@ -6,6 +6,7 @@ import io
 import math
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -324,6 +325,10 @@ def _four_by_four(path, diag, a21):
     return str(path)
 
 
+HUGE_COMPONENT = ("componentwise bound constants are not finite: "
+                  "col_norm = inf, off2sq = inf, l1 = inf, l2 = inf, delta1i = inf, delta2i = inf")
+
+
 class TestExtremeFiles:
     """Finite files whose constants cancel, underflow or overflow: an answer or exit 2, never a traceback."""
 
@@ -346,11 +351,30 @@ class TestExtremeFiles:
         ("1e200", "1e200", ("bounds", "--dist", "sparse:3"),
          "normwise bound constants are not finite: k1 = inf, d = nan, delta1 = nan"),
         ("1e200", "1e200", ("plan", "--component", "0", "--dist", "gaussian", "--eps", "0.1", "--delta", "0.01"),
-         "the planned sample count is inf: the bound constants over- or underflow"),
-    ], ids=["tiny-bounds", "tiny-plan", "huge-plan", "huge-bounds-sparse", "huge-plan-component"])
+         HUGE_COMPONENT),
+        ("1e200", "1e200", ("bounds", "--component", "0"), HUGE_COMPONENT),
+    ], ids=["tiny-bounds", "tiny-plan", "huge-plan", "huge-bounds-sparse", "huge-plan-component",
+            "huge-bounds-component"])
     def test_refused_as_data_error(self, tmp_path, capsys, diag, a21, argv, message):
         path = _four_by_four(tmp_path / "m.mtx", diag, a21)
         assert _run(capsys, *argv, "--matrix-file", path) == (EXIT_DATA, "", f"data error: {message}\n")
+
+    @pytest.mark.parametrize("argv,warned", [
+        (("bounds", "--test-matrix", "tridiag:5:1e308"), [UserWarning]),
+        (("bounds", "--test-matrix", "decay:2:1e154"), []),
+        (("estimate", "--samples", "4", "--matrix-file", "huge.mtx"), []),
+    ], ids=["tridiag-row-sums", "decay-norm", "dense-matmul"])
+    def test_refusal_comes_alone(self, tmp_path, capsys, monkeypatch, argv, warned):
+        # no numpy warning before the one data error line; only tridiag's accepted
+        # theta warns that it lies outside the documented range
+        _four_by_four(tmp_path / "huge.mtx", "1e308", "1e308")
+        monkeypatch.chdir(tmp_path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = _run(capsys, *argv)
+        assert (code, out) == (EXIT_DATA, "")
+        assert err.startswith("data error: ") and err.count("\n") == 1
+        assert [w.category for w in caught] == warned
 
     @pytest.mark.parametrize("argv", [
         ("--test-matrix", "tridiag:10:0.5", "--eps", "1e-170", "--delta", "0.1"),

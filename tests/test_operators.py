@@ -1,5 +1,8 @@
 """Operator tests: apply correctness, exact diagonals, symmetry, validation."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -261,10 +264,31 @@ class TestDecayOutOfRange:
     @pytest.mark.parametrize("n,theta", [(2, 1e154), (2, -1e308), (1000, 2.0), (400_000, 1.001)],
                              ids=["overflow", "underflow", "large-n", "sum-overflows"])
     def test_norm_outside_float_range_rejected(self, n, theta):
-        # x_j = exp(-j (1 - theta)) overflows, or all x_j^2 underflow: A = x x^T / ||x||^2 would be nan
-        with pytest.warns(UserWarning, match="outside the documented range"):
+        # x_j = exp(-j (1 - theta)) overflows, or all x_j^2 underflow: A = x x^T / ||x||^2 would be nan.
+        # The refusal comes alone, without the out-of-range warning.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             with pytest.raises(ValueError, match=r"^theta=.* puts \|\|x\|\|\^2 outside the float range at n="):
                 DecayingRankOne(n, theta)
+        assert caught == []
+
+
+class TestDecaySums:
+    @pytest.mark.parametrize("n,theta", [(2, 0.5), (100, 0.1), (1000, 1e-3), (3000, 0.01), (5000, 0.9), (700, -2.0)])
+    def test_fsum_over_lists_equals_generator_form(self, n, theta):
+        # math.fsum over .tolist() of numpy products has the bits of fsum over numpy scalars
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # theta outside the documented range
+            op = DecayingRankOne(n, theta)
+        x = op._x
+        xnorm2 = math.fsum(float(v) * float(v) for v in x)
+        assert (op._xnorm2, op._xsum) == (xnorm2, math.fsum(float(v) for v in x))
+        u = x * x / xnorm2
+        tail = math.fsum(float(v) for v in x[1:])
+        d_num = math.fsum(float(ui) * (1.0 - float(ui)) for ui in u)
+        c = op.analytic_constants()
+        assert (c.k2, c.delta2) == (float(x[0]) * tail / xnorm2, tail / float(x[0]))
+        assert c.d == d_num / c.k1
 
 
 class TestNonFiniteDense:
