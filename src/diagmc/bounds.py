@@ -317,7 +317,8 @@ def component_constants(matrix, index: int) -> ComponentConstants:
     bad = [f"{name} = {v:g}" for name, v in c.items() if not math.isfinite(v)]
     if bad:
         raise ValueError(f"componentwise bound constants are not finite: {', '.join(bad)}")
-    return ComponentConstants(index=index, a_ii=a_ii, **{"delta1i": math.inf, "delta2i": math.inf, "psi": None, **c})
+    undefined = dict(delta1i=math.inf, delta2i=math.inf, psi=None)  # a zero a_ii, a diagonal row
+    return ComponentConstants(index=index, a_ii=a_ii, **{**undefined, **c})
 
 
 def _check_method(method: str) -> None:
