@@ -51,7 +51,7 @@ from .operators import (
 )
 from .probes import (
     STREAM_FORMAT,
-    ProbeDistribution,
+    EstimatorSpec,
     RngState,
     derive_seed,
     gaussian,

@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from . import bounds as bounds_mod
-from .estimators import DegenerateProbeError
+from .estimators import DegenerateProbeError, estimate_diagonal
 from .harness import (
     _canonical_name,
     parse_estimator_spec,
@@ -111,7 +111,7 @@ def _cmd_estimate(args) -> int:
     )
     if args.samples < 1:
         raise UsageError("--samples must be at least 1")
-    values, exact = spec.estimate(op, args.samples, args.seed).value, op.exact_diag()
+    values, exact = estimate_diagonal(op, spec, args.samples, args.seed).value, op.exact_diag()
     out = Path(args.out) if args.out else _default_out("diagonal.csv")
     try:
         with open(out, "w", encoding="utf-8") as fh:

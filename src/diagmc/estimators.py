@@ -3,7 +3,7 @@
 Two estimators for ``diag(A)`` of a symmetric operator A:
 
 * unnormalized: ``mean_k (A w_k) o w_k`` for any probe family, and
-* normalized (Gaussian probes only):
+* normalized (Gaussian probes only, ``normalized_gaussian``):
   ``(sum_k (A z_k) o z_k) / (sum_k z_k o z_k)`` elementwise,
 
 plus the gradient-outer-product estimator ``mean_k (grad f(x_k))^2`` for
@@ -26,10 +26,9 @@ import numpy as np
 
 from .operators import SymmetricOperator, _check_index
 from .probes import (
-    ProbeDistribution,
+    EstimatorSpec,
     RngState,
     _block_counts,
-    gaussian,
     sample_probe_block,
     sample_uniform_block,
 )
@@ -193,9 +192,9 @@ def _run_estimate(
     return est
 
 
-def _probe_source(op: SymmetricOperator, dist: ProbeDistribution):
+def _probe_source(op: SymmetricOperator, spec: EstimatorSpec):
     def draw(state, count):
-        probes, state = sample_probe_block(dist, op.dim, state, count)
+        probes, state = sample_probe_block(spec, op.dim, state, count)
         return probes, op.apply(probes), state
 
     return draw
@@ -203,17 +202,21 @@ def _probe_source(op: SymmetricOperator, dist: ProbeDistribution):
 
 def estimate_diagonal(
     op: SymmetricOperator,
-    dist: ProbeDistribution,
+    spec: EstimatorSpec,
     n_samples: int,
     seed: Union[int, RngState],
 ) -> DiagonalEstimate:
-    """Unnormalized Monte Carlo estimate of ``diag(A)`` from ``n_samples`` probes.
+    """Monte Carlo estimate of ``diag(A)`` from ``n_samples`` probes of ``spec``.
 
-    Costs exactly ``n_samples`` operator applications and is unbiased for
-    any of the probe families.  With Rademacher probes a diagonal matrix is
-    recovered exactly from a single sample.
+    Costs exactly ``n_samples`` operator applications.  Every probe family
+    gives the unnormalized estimate, unbiased, and with Rademacher probes a
+    diagonal matrix is recovered exactly from a single sample.
+    ``normalized_gaussian`` gives the normalized one (see
+    :func:`estimate_diagonal_normalized`); ``dgsm`` draws no probes and is
+    refused.
     """
-    return _run_estimate(op.dim, _probe_source(op, dist), n_samples, seed, UNNORMALIZED)
+    mode = NORMALIZED if spec.method == "normalized_gaussian" else UNNORMALIZED
+    return _run_estimate(op.dim, _probe_source(op, spec), n_samples, seed, mode)
 
 
 def estimate_diagonal_normalized(
@@ -227,7 +230,7 @@ def estimate_diagonal_normalized(
     and Rademacher probes would make the denominator identically N.  Exact for
     diagonal matrices already at N = 1.
     """
-    return _run_estimate(op.dim, _probe_source(op, gaussian()), n_samples, seed, NORMALIZED)
+    return estimate_diagonal(op, EstimatorSpec("normalized_gaussian"), n_samples, seed)
 
 
 class GradientOracle(ABC):

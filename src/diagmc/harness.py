@@ -25,27 +25,15 @@ import numpy as np
 
 from . import bounds
 from .estimators import (
-    NORMALIZED,
-    UNNORMALIZED,
     DiagonalEstimate,
     QuadraticGradientOracle,
     _resolve_state,
     estimate_dgsm,
     estimate_diagonal,
-    estimate_diagonal_normalized,
     normwise_relative_error,
 )
 from .operators import SymmetricOperator, _check_index, make_test_matrix, TEST_MATRIX_KINDS
-from .probes import (
-    ProbeDistribution,
-    RngState,
-    _block_counts,
-    derive_seed,
-    gaussian,
-    rademacher,
-    sample_probe_block,
-    sparse_rademacher,
-)
+from .probes import EstimatorSpec, RngState, _block_counts, derive_seed, sample_probe_block
 from .special import kolmogorov_critical, kolmogorov_sf, student_t_cdf
 
 __all__ = [
@@ -66,65 +54,6 @@ __all__ = [
 ]
 
 DEFAULT_N_GRID = (16, 32, 64, 128, 256, 512, 1024, 2048, 4096)
-
-
-@dataclass(frozen=True)
-class EstimatorSpec:
-    """Which estimator a cell runs: a probe family, the normalized ratio or DGSM.
-
-    Maps an estimator name to what it samples (a probe law, or gradients for
-    ``dgsm``) and to how its samples are averaged.
-    """
-
-    method: str  # rademacher | sparse | gaussian | normalized_gaussian | dgsm
-    s: Optional[float] = None
-
-    def __post_init__(self):
-        valid = ("rademacher", "sparse", "gaussian", "normalized_gaussian", "dgsm")
-        if self.method not in valid:
-            raise ValueError(
-                f"unknown estimator {self.method!r}; expected rademacher, sparse:S, "
-                "gaussian, normalized-gaussian or dgsm"
-            )
-        if self.method == "sparse" and self.s is None:
-            raise ValueError("sparse estimator needs a sparsity parameter")
-        if self.method != "sparse" and self.s is not None:
-            raise ValueError(f"estimator {self.method!r} takes no sparsity parameter")
-
-    @property
-    def sparsity(self) -> Optional[float]:
-        if self.method == "rademacher":
-            return 1.0
-        return self.s
-
-    @property
-    def label(self) -> str:
-        if self.method == "sparse":
-            return f"sparse:{self.s:g}"
-        return self.method
-
-    @property
-    def probe_distribution(self) -> ProbeDistribution:
-        """Law of the probe entries; the normalized ratio draws Gaussians."""
-        if self.method == "rademacher":
-            return rademacher()
-        if self.method == "sparse":
-            return sparse_rademacher(self.s)
-        if self.method in ("gaussian", "normalized_gaussian"):
-            return gaussian()
-        raise ValueError(f"estimator {self.method!r} is not probe-based")
-
-    @property
-    def mode(self) -> str:
-        return NORMALIZED if self.method == "normalized_gaussian" else UNNORMALIZED
-
-    def estimate(self, source, n_samples: int, seed: Union[int, RngState]) -> DiagonalEstimate:
-        """Run this estimator on an operator (or, for ``dgsm``, a gradient oracle)."""
-        if self.method == "dgsm":
-            return estimate_dgsm(source, n_samples, seed)
-        if self.mode == NORMALIZED:
-            return estimate_diagonal_normalized(source, n_samples, seed)
-        return estimate_diagonal(source, self.probe_distribution, n_samples, seed)
 
 
 def _canonical_name(text: str) -> str:
@@ -251,6 +180,13 @@ def _experiment_targets(config: ExperimentConfig):
         yield theta, op, op.exact_diag(), curve
 
 
+def _estimate(spec: EstimatorSpec, source, n_samples: int, seed: int) -> DiagonalEstimate:
+    # a DGSM cell's source is a gradient oracle, every other cell's an operator
+    if spec.method == "dgsm":
+        return estimate_dgsm(source, n_samples, seed)
+    return estimate_diagonal(source, spec, n_samples, seed)
+
+
 def _run_cells(config: ExperimentConfig):
     records, summaries = [], []
     for ti, (theta, source, exact, curve) in enumerate(_experiment_targets(config)):
@@ -261,7 +197,7 @@ def _run_cells(config: ExperimentConfig):
                 nres = []
                 for r in range(config.replicates):
                     seed = derive_seed(config.seed, config.experiment, ti, di, ni, r)
-                    nres.append(normwise_relative_error(spec.estimate(source, n_samples, seed), exact))
+                    nres.append(normwise_relative_error(_estimate(spec, source, n_samples, seed), exact))
                     records.append(ExperimentRow(**cell, replicate=r, seed=seed, nre=nres[-1]))
                 summaries.append(ExperimentRow(
                     **cell, bound_eps=curve(n_samples) if curve is not None else None,
@@ -444,14 +380,13 @@ def _row_errors(row, index, spec, n_samples, replicates, seed) -> np.ndarray:
         raise ValueError("n_samples and replicates must be positive")
     a_ii = float(row[index])
     state = _resolve_state(seed)
-    dist = spec.probe_distribution
-    normalized = spec.mode == NORMALIZED
+    normalized = spec.method == "normalized_gaussian"
 
     num = np.zeros(replicates)
     den = np.zeros(replicates) if normalized else np.full(replicates, float(n_samples))
     done = 0
     for count in _block_counts(row.size, replicates * n_samples):
-        block, state = sample_probe_block(dist, row.size, state, count)
+        block, state = sample_probe_block(spec, row.size, state, count)
         first = done // n_samples
         owner = np.arange(done, done + count) // n_samples - first
         reps = slice(first, first + owner[-1] + 1)

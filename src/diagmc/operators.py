@@ -182,10 +182,14 @@ class DenseSymmetric(SymmetricOperator):
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
         _check_finite(m)
         scale = float(np.max(np.abs(m))) if m.size else 0.0
-        bad = np.argwhere(np.abs(m - m.T) > 1e-12 * max(scale, 1e-300))
+        with np.errstate(over="ignore"):  # an infinite difference is refused as asymmetric
+            bad = np.argwhere(np.abs(m - m.T) > 1e-12 * max(scale, 1e-300))
         if bad.size:
             raise AsymmetricMatrixError(m, *(int(v) for v in bad[0]))
-        return cls._wrap(0.5 * (m + m.T))
+        # pairs with equal bits keep them, subnormals too; the other pairs (0 and -0
+        # among them) are averaged by halves, which cannot overflow
+        bits = m.view(np.uint64)
+        return cls._wrap(np.where(bits == bits.T, m, 0.5 * m + 0.5 * m.T))
 
     def _dense(self) -> np.ndarray:
         return self._matrix.copy()

@@ -1,10 +1,13 @@
 """Seeded probe-vector generation for Monte Carlo diagonal estimation.
 
-Three probe families are supported: Rademacher (entries are random signs),
-sparse Rademacher with sparsity parameter ``s`` (entries in {-sqrt(s), 0,
-+sqrt(s)} with probabilities {1/(2s), 1 - 1/s, 1/(2s)}), and standard
-Gaussian.  All families have zero mean and unit variance per entry; their
-per-entry fourth moments are 1, s and 3 respectively.
+An :class:`EstimatorSpec` names an estimator by what it draws.  Its probe
+families are Rademacher (entries are random signs), sparse Rademacher with
+sparsity parameter ``s`` (entries in {-sqrt(s), 0, +sqrt(s)} with
+probabilities {1/(2s), 1 - 1/s, 1/(2s)}), and standard Gaussian, which the
+normalized ratio draws as well.  All families have zero mean and unit
+variance per entry; their per-entry fourth moments are 1, s and 3
+respectively.  The sensitivity-metric estimator ``dgsm`` draws gradients,
+not probes.
 
 Probes are addressed by a ``(seed, counter)`` pair.  Probe ``k`` of a stream
 is synthesised from a fixed window of raw Philox words, so any sub-range of
@@ -23,17 +26,14 @@ entry (a pair per two Gaussian entries), as in format 2.
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from numpy.random import Philox
 
 __all__ = [
-    "GAUSSIAN",
-    "RADEMACHER",
-    "SPARSE_RADEMACHER",
     "STREAM_FORMAT",
-    "ProbeDistribution",
+    "EstimatorSpec",
     "ProbeMoments",
     "RngState",
     "derive_seed",
@@ -46,10 +46,6 @@ __all__ = [
     "sparse_rademacher",
     "validate_sparsity",
 ]
-
-RADEMACHER = "rademacher"
-SPARSE_RADEMACHER = "sparse_rademacher"
-GAUSSIAN = "gaussian"
 
 # Version of the map from raw Philox words to entries.  Format 3 changes only
 # the Rademacher map of format 2, to one bit per entry.  Format 2 gave the
@@ -82,46 +78,62 @@ def validate_sparsity(s: float) -> float:
 
 
 @dataclass(frozen=True)
-class ProbeDistribution:
-    """Law of a probe vector's i.i.d. entries.
+class EstimatorSpec:
+    """Which estimator runs: a probe family, the normalized Gaussian ratio or DGSM.
 
-    ``kind`` is one of :data:`RADEMACHER`, :data:`SPARSE_RADEMACHER`,
-    :data:`GAUSSIAN`.  ``s`` is the sparsity parameter and is meaningful
-    only for the sparse family; ``sparse_rademacher(1)`` coincides with
-    ``rademacher()`` draw for draw.
+    ``method`` is one of rademacher, sparse, gaussian, normalized_gaussian
+    and dgsm; ``s`` is the sparsity parameter of ``sparse`` alone, checked
+    with :func:`validate_sparsity`.  ``normalized_gaussian`` draws Gaussian
+    probes, ``sparse`` with s = 1 draws the Rademacher probes bit for bit, and
+    ``dgsm`` draws gradients, not probes.
     """
 
-    kind: str
-    s: float = 1.0
+    method: str
+    s: Optional[float] = None
 
     def __post_init__(self):
-        if self.kind not in (RADEMACHER, SPARSE_RADEMACHER, GAUSSIAN):
-            raise ValueError(f"unknown probe distribution kind: {self.kind!r}")
-        if self.kind == SPARSE_RADEMACHER:
+        if self.method not in ("rademacher", "sparse", "gaussian", "normalized_gaussian", "dgsm"):
+            raise ValueError(
+                f"unknown estimator {self.method!r}; expected rademacher, sparse:S, "
+                "gaussian, normalized-gaussian or dgsm"
+            )
+        if self.method == "sparse":
+            if self.s is None:
+                raise ValueError("sparse estimator needs a sparsity parameter")
             object.__setattr__(self, "s", validate_sparsity(self.s))
-        elif self.s != 1.0:
-            raise ValueError(f"{self.kind} takes no sparsity parameter")
+        elif self.s is not None:
+            raise ValueError(f"estimator {self.method!r} takes no sparsity parameter")
+
+    @property
+    def sparsity(self) -> Optional[float]:
+        """The s of the sparse bounds: 1 for Rademacher, None where they do not apply."""
+        return 1.0 if self.method == "rademacher" else self.s
 
     @property
     def label(self) -> str:
-        if self.kind == SPARSE_RADEMACHER:
-            return f"sparse(s={self.s:g})"
-        return self.kind
+        return f"sparse:{self.s:g}" if self.method == "sparse" else self.method
 
 
-def rademacher() -> ProbeDistribution:
+def rademacher() -> EstimatorSpec:
     """Entries +-1 with probability 1/2 each."""
-    return ProbeDistribution(RADEMACHER)
+    return EstimatorSpec("rademacher")
 
 
-def sparse_rademacher(s: float) -> ProbeDistribution:
+def sparse_rademacher(s: float) -> EstimatorSpec:
     """Entries in {-sqrt(s), 0, +sqrt(s)} with probabilities {1/(2s), 1-1/s, 1/(2s)}."""
-    return ProbeDistribution(SPARSE_RADEMACHER, float(s))
+    return EstimatorSpec("sparse", s)
 
 
-def gaussian() -> ProbeDistribution:
+def gaussian() -> EstimatorSpec:
     """Standard normal entries."""
-    return ProbeDistribution(GAUSSIAN)
+    return EstimatorSpec("gaussian")
+
+
+def _draws_gaussians(spec: EstimatorSpec) -> bool:
+    # whether a probe-based spec draws Gaussian entries, rather than Rademacher or sparse ones
+    if spec.method == "dgsm":
+        raise ValueError("estimator 'dgsm' draws no probes")
+    return spec.method in ("gaussian", "normalized_gaussian")
 
 
 class ProbeMoments(NamedTuple):
@@ -130,15 +142,9 @@ class ProbeMoments(NamedTuple):
     fourth_moment: float
 
 
-def probe_moments(dist: ProbeDistribution) -> ProbeMoments:
-    """Analytic per-entry moments (mean, variance, fourth moment)."""
-    if dist.kind == GAUSSIAN:
-        m4 = 3.0
-    elif dist.kind == SPARSE_RADEMACHER:
-        m4 = dist.s
-    else:
-        m4 = 1.0
-    return ProbeMoments(0.0, 1.0, m4)
+def probe_moments(spec: EstimatorSpec) -> ProbeMoments:
+    """Analytic per-entry moments (mean, variance, fourth moment) of a spec's probes."""
+    return ProbeMoments(0.0, 1.0, 3.0 if _draws_gaussians(spec) else spec.sparsity)
 
 
 @dataclass(frozen=True)
@@ -322,26 +328,26 @@ def _sample_block(
 
 
 def sample_probe_block(
-    dist: ProbeDistribution, n: int, state: RngState, count: int
+    spec: EstimatorSpec, n: int, state: RngState, count: int
 ) -> tuple[np.ndarray, RngState]:
-    """Draw ``count`` consecutive probes as the columns of an (n, count) array.
+    """Draw ``count`` consecutive probes of ``spec`` as the columns of an (n, count) array.
 
     Column ``j`` is exactly the probe addressed by ``state.counter + j``; the
     block decomposition has no effect on the values drawn.
     """
-    if dist.kind == GAUSSIAN:
+    if _draws_gaussians(spec):
         return _sample_block(n, state, count, _fill_gaussian)
-    if dist.s == 1.0:
+    if spec.sparsity == 1.0:
         # Rademacher, and sparse_rademacher(1) with it
         return _sample_block(n, state, count, _fill_rademacher, entries_per_word=64)
-    return _sample_block(n, state, count, partial(_fill_sparse, s=dist.s))
+    return _sample_block(n, state, count, partial(_fill_sparse, s=spec.s))
 
 
 def sample_probe(
-    dist: ProbeDistribution, n: int, state: RngState
+    spec: EstimatorSpec, n: int, state: RngState
 ) -> tuple[np.ndarray, RngState]:
     """Draw the single probe addressed by ``state`` and advance the counter."""
-    block, new_state = sample_probe_block(dist, n, state, 1)
+    block, new_state = sample_probe_block(spec, n, state, 1)
     return block[:, 0], new_state
 
 

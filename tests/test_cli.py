@@ -26,11 +26,15 @@ BAD_DIST_COMMANDS = [
     ("estimate", "--samples", "4", "--dist", "sobol"),
     ("estimate", "--samples", "4", "--dist", "sparse:abc"),
     ("estimate", "--samples", "4", "--dist", "dgsm"),
+    ("estimate", "--samples", "4", "--dist", "sparse:0.5"),
+    ("estimate", "--samples", "4", "--dist", "sparse:1.5"),
     (*_PLAN, "--dist", "sobol"),
     (*_PLAN, "--dist", "sparse:abc"),
+    (*_PLAN, "--dist", "sparse:1e-3"),
     (*_PLAN, "--dist", "gaussian"),
     (*_PLAN, "--dist", "sparse:3", "--component", "2"),
     ("bounds", "--dist", "sobol"),
+    ("bounds", "--dist", "sparse:inf"),
     ("bounds", "--dist", "gaussian"),
     ("bounds", "--dist", "normalized-gaussian"),
     ("bounds", "--dist", "sobol", "--component", "3"),

@@ -24,6 +24,7 @@ from diagmc.estimators import (
 )
 from diagmc.operators import DenseSymmetric, MatrixFreeOperator, make_test_matrix
 from diagmc.probes import (
+    EstimatorSpec,
     RngState,
     gaussian,
     rademacher,
@@ -137,6 +138,20 @@ class TestNormalized:
             num += (a @ z) * z
             den += z * z
         assert np.allclose(est.value, num / den, rtol=1e-14, atol=0)
+
+    def test_spec_runs_the_normalized_ratio(self):
+        op = make_test_matrix("tridiag", 30, 0.5)
+        got = estimate_diagonal(op, EstimatorSpec("normalized_gaussian"), 9, RngState(4, 3))
+        expected = estimate_diagonal_normalized(op, 9, RngState(4, 3))
+        assert got.mode == expected.mode == NORMALIZED
+        assert np.array_equal(got.value, expected.value)
+        assert np.array_equal(np.signbit(got.value), np.signbit(expected.value))
+
+    def test_dgsm_spec_refused(self):
+        op = _CountingOperator(make_test_matrix("tridiag", 5, 0.5))
+        with pytest.raises(ValueError, match="^estimator 'dgsm' draws no probes$"):
+            estimate_diagonal(op, EstimatorSpec("dgsm"), 4, 0)
+        assert op.columns_applied == 0
 
     def test_degenerate_denominator_raises(self):
         est = DiagonalEstimate(2, NORMALIZED)

@@ -122,7 +122,7 @@ class TestNormalizedErrorLaw:
         errors = replicate_component_errors(op, index, spec, n_samples, 4, seed)
         exact = op.exact_diag()
         for r in range(4):
-            est = spec.estimate(op, n_samples, RngState(seed, r * n_samples))
+            est = estimate_diagonal(op, spec, n_samples, RngState(seed, r * n_samples))
             assert errors[r] == pytest.approx(est.value[index] - exact[index], rel=1e-12)
 
     def test_diagonal_component_rejected(self):
@@ -189,33 +189,37 @@ class TestSpecParsing:
         with pytest.raises(ValueError, match=f"^estimator '{method}' takes no sparsity parameter$"):
             EstimatorSpec(method, 3.0)
         assert EstimatorSpec(method).sparsity == (1.0 if method == "rademacher" else None)
-        # the range of s is checked where the probes are drawn, not here
-        assert EstimatorSpec("sparse", 0.5).sparsity == 0.5
+        assert EstimatorSpec("sparse", 2.5).sparsity == 2.5
+
+    @pytest.mark.parametrize("text", ["sparse:0.5", "sparse:1e-3", "sparse:1.5", "sparse:nan"])
+    def test_sparsity_range_checked_when_parsed(self, text):
+        with pytest.raises(ValueError, match="sparsity parameter"):
+            parse_estimator_spec(text)
+        with pytest.raises(ValueError, match="sparsity parameter"):
+            EstimatorSpec("sparse", float(text.partition(":")[2]))
 
     def test_name_normalisation(self):
         assert parse_estimator_spec(" Normalized-Gaussian ").method == "normalized_gaussian"
         assert parse_estimator_spec("SPARSE:10").s == 10.0
-        # only the name is normalised: a signed parameter stays a number
-        assert parse_estimator_spec("sparse:1e-3").s == 1e-3
+        # only the name is normalised: an exponent in the parameter stays a number
+        assert parse_estimator_spec("sparse:5e1").s == 50.0
 
-    def test_probe_law_and_mode(self):
-        assert EstimatorSpec("rademacher").probe_distribution == rademacher()
-        assert EstimatorSpec("sparse", 3.0).probe_distribution.s == 3.0
-        assert EstimatorSpec("normalized_gaussian").probe_distribution == gaussian()
-        assert EstimatorSpec("normalized_gaussian").mode == "normalized"
-        assert EstimatorSpec("gaussian").mode == "unnormalized"
-        with pytest.raises(ValueError, match="not probe-based"):
-            EstimatorSpec("dgsm").probe_distribution
+    def test_one_spec_type(self):
+        assert EstimatorSpec is probes.EstimatorSpec
+        assert parse_estimator_spec("rademacher") == rademacher()
+        assert parse_estimator_spec("sparse:3") == probes.sparse_rademacher(3)
+        assert parse_estimator_spec("gaussian") == gaussian()
 
     def test_estimate_dispatch_matches_direct_calls(self):
         op = make_test_matrix("tridiag", 12, 0.5)
         direct = {
             "rademacher": estimate_diagonal(op, rademacher(), 9, 4),
+            "sparse:3": estimate_diagonal(op, probes.sparse_rademacher(3), 9, 4),
             "gaussian": estimate_diagonal(op, gaussian(), 9, 4),
             "normalized-gaussian": estimate_diagonal_normalized(op, 9, 4),
         }
         for text, expected in direct.items():
-            got = parse_estimator_spec(text).estimate(op, 9, 4)
+            got = estimate_diagonal(op, parse_estimator_spec(text), 9, 4)
             assert got.mode == expected.mode
             assert np.array_equal(got.value, expected.value)
 

@@ -141,6 +141,14 @@ class TestArray:
         op = load_matrix_market(path)
         assert np.array_equal(op.to_dense(), [[2.0, 1.0], [1.0, 3.0]])
 
+    def test_general_file_of_huge_entries_stays_finite(self, tmp_path):
+        # 0.5 (a + a) would overflow to inf here
+        path = _write(tmp_path, "%%MatrixMarket matrix array real general\n4 4\n" + "1e308\n" * 16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            op = load_matrix_market(path)
+        assert np.array_equal(op.to_dense(), np.full((4, 4), 1e308))
+
     def test_symmetric_lower_triangle(self, tmp_path):
         path = _write(tmp_path, """%%MatrixMarket matrix array real symmetric
 3 3

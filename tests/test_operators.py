@@ -188,6 +188,23 @@ class TestDenseSymmetric:
         full = op.to_dense()
         assert np.array_equal(full, full.T)
 
+    def test_equal_pairs_keep_their_bits(self):
+        # subnormals and -0 included; only 0 against -0 is averaged, to 0
+        m = np.array([[5e-324, -0.0, 1e308], [-0.0, -5e-324, 0.0], [1e308, -0.0, -1.7976931348623157e308]])
+        expected = m.copy()
+        expected[1, 2] = expected[2, 1] = 0.0
+        full = DenseSymmetric.from_dense(m).to_dense()
+        assert np.array_equal(full.view(np.uint64), expected.view(np.uint64))
+
+    def test_unequal_pairs_are_averaged_symmetrically(self):
+        m = RNG.standard_normal((9, 9))
+        m = 0.5 * (m + m.T)
+        m[2, 5] *= 1 + 2e-15
+        m[7, 1] = np.nextafter(m[7, 1], 0.0)
+        full = DenseSymmetric.from_dense(m).to_dense()
+        assert np.array_equal(full, 0.5 * (m + m.T))
+        assert np.array_equal(full.view(np.uint64), full.T.view(np.uint64))
+
     def test_to_dense_is_an_independent_copy(self):
         op = DenseSymmetric.from_dense(np.eye(3))
         op.to_dense()[0, 0] = 5.0

@@ -10,10 +10,9 @@ from hypothesis import strategies as st
 
 from diagmc import probes
 from diagmc.probes import (
-    GAUSSIAN,
     STREAM_FORMAT,
     _block_counts,
-    ProbeDistribution,
+    EstimatorSpec,
     RngState,
     derive_seed,
     gaussian,
@@ -51,12 +50,12 @@ class TestValidation:
         assert sparse_rademacher(s).s == s
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            ProbeDistribution("uniform")
+        with pytest.raises(ValueError, match="unknown estimator 'uniform'"):
+            EstimatorSpec("uniform")
 
     def test_nonsparse_takes_no_s(self):
         with pytest.raises(ValueError):
-            ProbeDistribution(GAUSSIAN, 3.0)
+            EstimatorSpec("gaussian", 3.0)
 
     def test_negative_counter(self):
         with pytest.raises(ValueError):
@@ -72,6 +71,11 @@ class TestMoments:
 
     def test_gaussian(self):
         assert probe_moments(gaussian()) == (0.0, 1.0, 3.0)
+        assert probe_moments(EstimatorSpec("normalized_gaussian")) == (0.0, 1.0, 3.0)
+
+    def test_dgsm_has_no_probes(self):
+        with pytest.raises(ValueError, match="draws no probes"):
+            probe_moments(EstimatorSpec("dgsm"))
 
 
 class TestLaws:
@@ -96,6 +100,17 @@ class TestLaws:
         b, _ = sample_probe_block(sparse_rademacher(1), 64, RngState(9), 100)
         assert np.array_equal(a, b)
 
+    def test_normalized_gaussian_draws_the_gaussian_block(self):
+        a, sa = sample_probe_block(gaussian(), 37, RngState(9, 4), 50)
+        b, sb = sample_probe_block(EstimatorSpec("normalized_gaussian"), 37, RngState(9, 4), 50)
+        assert sa == sb
+        assert np.array_equal(a, b)
+        assert np.array_equal(np.signbit(a), np.signbit(b))
+
+    def test_dgsm_draws_no_probes(self):
+        with pytest.raises(ValueError, match="^estimator 'dgsm' draws no probes$"):
+            sample_probe_block(EstimatorSpec("dgsm"), 8, RngState(9), 4)
+
     def test_sparse_s1_never_zero(self):
         draws = _draws(sparse_rademacher(1), 100_000)
         assert not np.any(draws == 0.0)
@@ -104,7 +119,7 @@ class TestLaws:
         "dist",
         [rademacher(), gaussian()]
         + [sparse_rademacher(s) for s in (1, 3, 10, 50)],
-        ids=lambda d: d.label,
+        ids=["rademacher", "gaussian"] + [f"sparse(s={s})" for s in (1, 3, 10, 50)],
     )
     def test_empirical_moments(self, dist):
         draws = _draws(dist, N_EMPIRICAL)
