@@ -1,6 +1,7 @@
 """Harness tests: quantiles, KS check, experiment runs, CSV reproducibility."""
 
 import csv
+import hashlib
 import math
 
 import numpy as np
@@ -124,6 +125,22 @@ class TestNormalizedErrorLaw:
         for r in range(4):
             est = estimate_diagonal(op, spec, n_samples, RngState(seed, r * n_samples))
             assert errors[r] == pytest.approx(est.value[index] - exact[index], rel=1e-12)
+
+    @pytest.mark.parametrize("case, replicates, block_vectors, digest", [
+        ("t-law", None, None, "1a385870654d84305246daadb9913e14114cd448896df4683dba875e07b953d0"),
+        ("sparse", 500, None, "2955158b657a539f190245bc6a30f6b23752993935678c6a41edcbadf1833dfa"),
+        ("sparse", 50, 3, "cb76e6c00b8cc77b571e3487ba84137a92005680b5504390057122407c2fc541"),
+    ])
+    def test_row_path_bits_pinned(self, monkeypatch, case, replicates, block_vectors, digest):
+        # exact bits of the replicate study; 3-vector blocks split its N = 7 replicates
+        if block_vectors is not None:
+            monkeypatch.setattr(probes, "_BLOCK_VECTORS", block_vectors)
+        if case == "t-law":
+            errors = normalized_error_samples(make_test_matrix("tridiag", 20, 0.5), 10, 10, 10_000, 2)
+        else:
+            op = make_test_matrix("rank1", 100, 0.01)
+            errors = replicate_component_errors(op, 7, EstimatorSpec("sparse", 3.0), 7, replicates, 5)
+        assert hashlib.sha256(np.ascontiguousarray(errors).tobytes()).hexdigest() == digest
 
     def test_diagonal_component_rejected(self):
         op = make_test_matrix("tridiag", 5, 0.5)
