@@ -14,6 +14,13 @@ split across workers, updated incrementally and merged exactly up to
 floating-point reassociation.  Probe k of a run always consumes stream
 counter k, making batched, streamed and parallel runs probe-identical.
 
+One block loop reads the stream for every estimator here and for the replicate
+studies of :mod:`diagmc.harness`.  Per block, ``draw(state, count)`` returns two
+sample factors and the advanced state, and ``reduce(first, left, right)`` folds
+them in from stream position ``first`` and returns the sums it changed.  A NaN
+or inf factor survives the product, even by 0, so a non-finite sum raises
+``ValueError`` naming the block's probe counters ``[a, b)``.
+
 The normalized estimator's componentwise error at N = 1 is Cauchy
 distributed: its mean and variance do not exist, so single-sample
 normalized estimates must not be averaged across runs.
@@ -162,42 +169,27 @@ class DiagonalEstimate:
         return self.numerator / den
 
 
-def _resolve_state(seed: Union[int, RngState]) -> RngState:
-    return seed if isinstance(seed, RngState) else RngState(int(seed))
-
-
-def _run_estimate(
+def _run_blocks(
     dim: int,
     draw: Callable[[RngState, int], tuple[np.ndarray, np.ndarray, RngState]],
+    reduce: Callable[[int, np.ndarray, np.ndarray], np.ndarray],
     n_samples: int,
     seed: Union[int, RngState],
-    mode: str,
-) -> DiagonalEstimate:
-    # The block loop of every estimator: ``draw(state, count)`` returns two
-    # (dim, count) sample factors whose product is summed into the estimate, and
-    # the advanced state.  A NaN or inf factor survives the product, even by 0.
+) -> None:
+    # the one block loop over the probe stream; the module docstring states its contract
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
-    state = _resolve_state(seed)
-    est = DiagonalEstimate(dim, mode)
+    state = seed if isinstance(seed, RngState) else RngState(int(seed))
+    first = 0
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum is refused below
         for count in _block_counts(dim, n_samples):
             left, right, state = draw(state, count)
-            est.update_block(left, right)
-            if not np.isfinite(est.numerator).all():
-                first = state.counter - count
+            if not np.isfinite(reduce(first, left, right)).all():
                 raise ValueError(
-                    f"non-finite matvec or gradient values at probe counters [{first}, {state.counter})"
+                    "non-finite matvec or gradient values at probe counters "
+                    f"[{state.counter - count}, {state.counter})"
                 )
-    return est
-
-
-def _probe_source(op: SymmetricOperator, spec: EstimatorSpec):
-    def draw(state, count):
-        probes, state = sample_probe_block(spec, op.dim, state, count)
-        return probes, op.apply(probes), state
-
-    return draw
+            first += count
 
 
 def estimate_diagonal(
@@ -215,8 +207,15 @@ def estimate_diagonal(
     :func:`estimate_diagonal_normalized`); ``dgsm`` draws no probes and is
     refused.
     """
-    mode = NORMALIZED if spec.method == "normalized_gaussian" else UNNORMALIZED
-    return _run_estimate(op.dim, _probe_source(op, spec), n_samples, seed, mode)
+    est = DiagonalEstimate(op.dim, NORMALIZED if spec.method == "normalized_gaussian" else UNNORMALIZED)
+
+    def draw(state, count):
+        probes, state = sample_probe_block(spec, op.dim, state, count)
+        return probes, op.apply(probes), state
+
+    _run_blocks(op.dim, draw, lambda first, left, right: est.update_block(left, right).numerator,
+                n_samples, seed)
+    return est
 
 
 def estimate_diagonal_normalized(
@@ -323,12 +322,15 @@ def estimate_dgsm(
     Averages ``(grad f(x_k))^2`` elementwise over ``n_samples`` draws;
     every entry of the estimate is nonnegative.
     """
+    est = DiagonalEstimate(oracle.dim)
 
     def draw(state, count):
         grads, state = oracle.sample_gradient_block(state, count)
         return grads, grads, state
 
-    return _run_estimate(oracle.dim, draw, n_samples, seed, UNNORMALIZED)
+    _run_blocks(oracle.dim, draw, lambda first, left, right: est.update_block(left, right).numerator,
+                n_samples, seed)
+    return est
 
 
 def _paired(est, exact) -> tuple[np.ndarray, np.ndarray]:

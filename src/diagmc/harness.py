@@ -27,13 +27,13 @@ from . import bounds
 from .estimators import (
     DiagonalEstimate,
     QuadraticGradientOracle,
-    _resolve_state,
+    _run_blocks,
     estimate_dgsm,
     estimate_diagonal,
     normwise_relative_error,
 )
 from .operators import SymmetricOperator, _check_index, make_test_matrix, TEST_MATRIX_KINDS
-from .probes import EstimatorSpec, RngState, _block_counts, derive_seed, sample_probe_block
+from .probes import EstimatorSpec, RngState, derive_seed, sample_probe_block
 from .special import kolmogorov_critical, kolmogorov_sf, student_t_cdf
 
 __all__ = [
@@ -370,6 +370,8 @@ def replicate_component_errors(
     Replicate r consumes counters [r*N, (r+1)*N) of a single stream, so the
     replicates are disjoint and the study is one pass over probe blocks, which may
     split a replicate.  By symmetry the inner products use only row ``index``.
+    Non-finite sums are refused as :func:`~diagmc.estimators.estimate_diagonal`
+    refuses them.
     """
     return _row_errors(_component_row(op, index), index, spec, n_samples, replicates, seed)
 
@@ -378,23 +380,25 @@ def _row_errors(row, index, spec, n_samples, replicates, seed) -> np.ndarray:
     # replicate_component_errors given row ``index`` of the operator
     if n_samples < 1 or replicates < 1:
         raise ValueError("n_samples and replicates must be positive")
-    a_ii = float(row[index])
-    state = _resolve_state(seed)
     normalized = spec.method == "normalized_gaussian"
-
     num = np.zeros(replicates)
     den = np.zeros(replicates) if normalized else np.full(replicates, float(n_samples))
-    done = 0
-    for count in _block_counts(row.size, replicates * n_samples):
+
+    def draw(state, count):
         block, state = sample_probe_block(spec, row.size, state, count)
-        first = done // n_samples
-        owner = np.arange(done, done + count) // n_samples - first
-        reps = slice(first, first + owner[-1] + 1)
-        num[reps] += np.bincount(owner, (row @ block) * block[index])
+        return row @ block, block[index], state
+
+    def reduce(first, products, entries):
+        lo = first // n_samples
+        owner = np.arange(first, first + entries.size) // n_samples - lo
+        reps = slice(lo, lo + owner[-1] + 1)
+        num[reps] += np.bincount(owner, products * entries)
         if normalized:
-            den[reps] += np.bincount(owner, block[index] ** 2)
-        done += count
-    return num / den - a_ii
+            den[reps] += np.bincount(owner, entries ** 2)
+        return num[reps]
+
+    _run_blocks(row.size, draw, reduce, replicates * n_samples, seed)
+    return num / den - float(row[index])
 
 
 def normalized_error_samples(
@@ -407,12 +411,17 @@ def normalized_error_samples(
     """Standardized normalized-estimator errors for the t-distribution check.
 
     Returns (est_i - a_ii) * sqrt(N / sum_{j != i} a_ij^2) over replicates,
-    which is t-distributed with N degrees of freedom.
+    which is t-distributed with N degrees of freedom.  Non-finite sums are refused
+    as in :func:`replicate_component_errors`, and so is an off-diagonal mass
+    that overflows or is 0.
     """
     row = _component_row(op, index)
     off = np.delete(row, index)
-    off2sq = float(off @ off)
+    with np.errstate(over="ignore", under="ignore"):  # a square out of range is refused below
+        off2sq = float(off @ off)
+    if not math.isfinite(off2sq):
+        raise ValueError(f"the squared off-diagonal mass of component {index} overflows")
     if off2sq == 0.0:
-        raise ValueError("component has no off-diagonal mass; errors are zero")
+        raise ValueError(f"component {index} has no off-diagonal mass, or its squares underflow to 0")
     errors = _row_errors(row, index, EstimatorSpec("normalized_gaussian"), n_samples, replicates, seed)
     return errors * math.sqrt(n_samples / off2sq)

@@ -23,7 +23,7 @@ from diagmc.harness import (
     standard_experiment_configs,
     write_experiment_csv,
 )
-from diagmc.operators import MatrixFreeOperator, make_test_matrix
+from diagmc.operators import DenseSymmetric, MatrixFreeOperator, make_test_matrix
 from diagmc.probes import RngState, gaussian, rademacher, sample_probe_block
 
 
@@ -160,6 +160,26 @@ class TestNormalizedErrorLaw:
             replicate_component_errors(op, 1, EstimatorSpec("rademacher"), 4, 3, 0)
         with pytest.raises(ValueError, match="non-finite matvec values in row 2"):
             normalized_error_samples(op, 2, 4, 3, 0)
+
+    def test_overflowing_sum_rejected(self):
+        # a finite row whose products overflow: estimate_diagonal refuses it, so must the study
+        op = DenseSymmetric.from_dense(np.full((3, 3), 1e308))
+        message = r"non-finite matvec or gradient values at probe counters \[0, 4\)"
+        with pytest.raises(ValueError, match=message):
+            estimate_diagonal(op, rademacher(), 4, 0)
+        with pytest.raises(ValueError, match=r"at probe counters \[0, 12\)"):
+            replicate_component_errors(op, 0, rademacher(), 4, 3, 0)
+
+    @pytest.mark.parametrize("row, match", [
+        ([1.0, 1e200, 1e200], "squared off-diagonal mass of component 0 overflows"),
+        ([1.0, 1e-170, 0.0], "no off-diagonal mass, or its squares underflow to 0"),
+    ])
+    def test_off_diagonal_mass_out_of_range_rejected(self, row, match):
+        # the standardization would divide by an inf or underflowed sum of squares
+        a = np.eye(3)
+        a[0] = a[:, 0] = row
+        with pytest.raises(ValueError, match=match):
+            normalized_error_samples(DenseSymmetric.from_dense(a), 0, 4, 3, 0)
 
     @pytest.mark.parametrize("index", [-1, -20, 20])
     def test_component_index_out_of_range(self, index):
