@@ -164,10 +164,10 @@ class TestNormalizedErrorLaw:
     def test_overflowing_sum_rejected(self):
         # a finite row whose products overflow: estimate_diagonal refuses it, so must the study
         op = DenseSymmetric.from_dense(np.full((3, 3), 1e308))
-        message = r"non-finite matvec or gradient values at probe counters \[0, 4\)"
-        with pytest.raises(ValueError, match=message):
+        message = r"non-finite matvec or gradient values at probe counters "
+        with pytest.raises(ValueError, match=message + r"\[0, 4\)"):
             estimate_diagonal(op, rademacher(), 4, 0)
-        with pytest.raises(ValueError, match=r"at probe counters \[0, 12\)"):
+        with pytest.raises(ValueError, match=message + r"\[0, 12\)"):
             replicate_component_errors(op, 0, rademacher(), 4, 3, 0)
 
     @pytest.mark.parametrize("row, match", [
