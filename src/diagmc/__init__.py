@@ -16,7 +16,6 @@ from .bounds import (
     dgsm_tail_bound,
     epsilon_for_samples_dgsm,
     epsilon_for_samples_normwise,
-    linear_model_constants,
     normwise_constants,
     normwise_tail_bound,
     plan_samples_component,
@@ -29,7 +28,6 @@ from .estimators import (
     DegenerateProbeError,
     DiagonalEstimate,
     GradientOracle,
-    LinearGradientOracle,
     QuadraticGradientOracle,
     componentwise_relative_error,
     estimate_dgsm,
@@ -55,9 +53,7 @@ from .probes import (
     RngState,
     derive_seed,
     gaussian,
-    probe_moments,
     rademacher,
-    sample_probe,
     sample_probe_block,
     sparse_rademacher,
 )

@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .estimators import LinearGradientOracle, QuadraticGradientOracle
+from .estimators import QuadraticGradientOracle
 from .operators import DenseSymmetric, SymmetricOperator, _check_index
 from .probes import validate_sparsity
 
@@ -41,7 +41,6 @@ __all__ = [
     "epsilon_for_samples_dgsm",
     "epsilon_for_samples_normwise",
     "gaussian_normwise_window",
-    "linear_model_constants",
     "normwise_constants",
     "normwise_tail_bound",
     "plan_samples_component",
@@ -434,12 +433,6 @@ def dgsm_constants(cdiag: np.ndarray, beta: float) -> DgsmConstants:
         s3=s1 / (cmax * s2),
         d=float(np.sum(v)) / s1,
     )
-
-
-def linear_model_constants(h: np.ndarray) -> DgsmConstants:
-    """Constants of the linear model f(x) = h^T x on uniform [-1, 1]^n."""
-    oracle = LinearGradientOracle(h)
-    return dgsm_constants(oracle.second_moment_diag(), oracle.beta)
 
 
 def quadratic_model_constants(factor: np.ndarray) -> DgsmConstants:

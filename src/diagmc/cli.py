@@ -181,13 +181,13 @@ def _cmd_constants(args) -> int:
 
 def _cmd_experiment(args) -> int:
     grid = None
-    if args.n_grid:
+    if args.n_grid is not None:  # an empty list is refused, not read as the default
         try:
             grid = tuple(int(tok) for tok in args.n_grid.split(","))
         except ValueError:
             raise UsageError("--n-grid must be a comma-separated integer list") from None
     thetas = None
-    if args.thetas:
+    if args.thetas is not None:
         try:
             thetas = tuple(float(tok) for tok in args.thetas.split(","))
         except ValueError:

@@ -44,7 +44,6 @@ __all__ = [
     "DegenerateProbeError",
     "DiagonalEstimate",
     "GradientOracle",
-    "LinearGradientOracle",
     "QuadraticGradientOracle",
     "UNNORMALIZED",
     "NORMALIZED",
@@ -146,12 +145,6 @@ class DiagonalEstimate:
         _two_sum(self._sums, other._sums[1])
         self._count += other._count
         return self
-
-    def copy(self) -> "DiagonalEstimate":
-        out = DiagonalEstimate(self._dim, self._mode)
-        out._count = self._count
-        out._sums = self._sums.copy()
-        return out
 
     @property
     def value(self) -> np.ndarray:
@@ -263,23 +256,6 @@ class GradientOracle(ABC):
                     f"gradient sup norm {worst:g} exceeds the declared bound {self.beta:g}"
                 )
         return grads, new_state
-
-
-class LinearGradientOracle(GradientOracle):
-    """Gradient of f(x) = h^T x: constant h, so every sample is exact."""
-
-    def __init__(self, h: np.ndarray):
-        h = np.asarray(h, dtype=np.float64).ravel()
-        super().__init__(h.shape[0], beta=float(np.max(np.abs(h))))
-        self.h = h
-
-    def second_moment_diag(self) -> np.ndarray:
-        """Exact sensitivity metric diag(C) = h o h."""
-        return self.h * self.h
-
-    def _sample_block(self, state, count):
-        # the gradient ignores x; advance the counter to keep addressing uniform
-        return np.tile(self.h[:, None], (1, count)), state.advance(count)
 
 
 class QuadraticGradientOracle(GradientOracle):

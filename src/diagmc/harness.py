@@ -46,7 +46,6 @@ __all__ = [
     "normalized_error_samples",
     "parse_estimator_spec",
     "quantile_band",
-    "quantile_sanity_fraction",
     "replicate_component_errors",
     "run_experiment",
     "standard_experiment_configs",
@@ -297,12 +296,6 @@ def quantile_band(values: Sequence[float], q: float) -> float:
     if not (0.0 <= q <= 1.0):
         raise ValueError("quantile level must lie in [0, 1]")
     return float(np.quantile(values, q, method="linear"))
-
-
-def quantile_sanity_fraction(summaries) -> float:
-    """Fraction of cells with q025 <= mean <= q975 (skewed cells may fail)."""
-    ok = sum(1 for s in summaries if s.q025 <= s.mean_nre <= s.q975)
-    return ok / len(summaries) if summaries else 1.0
 
 
 @dataclass(frozen=True)

@@ -5,14 +5,15 @@ for error-bound constants and exact diagonals.  Each operator reduces what it
 knows to the per-row sums the bounds read (``row_sums``): the stored operators
 their entries, the test families their closed forms, so no bound densifies;
 operators that cannot provide entries raise :class:`UnsupportedOperationError`
-from ``to_dense``/``row_sums``/``exact_diag``.  ``to_dense`` raises it as well
-for n > ``DENSE_LIMIT``, before any n x n array is allocated.
+from ``to_dense``/``row_sums``/``exact_diag``, and the test families from
+``to_dense``.  ``to_dense`` raises it as well for n > ``DENSE_LIMIT``, before
+any n x n array is allocated.
 ``CooSymmetric``, the sparse storage, keeps jagged-diagonal slots and applies
 them to a whole (n, k) block at a time, a chunk of rows per pass; the few
 rows longer than the slots go on in a row-major overflow.
 
-Three parametrised test families with analytically known diagonals and
-bound constants are provided:
+Three parametrised test families with closed-form diagonals and row sums
+are provided:
 
 * ``IdentityPlusRankOne``:  A = I + theta * ones * ones^T
 * ``DecayingRankOne``:      A = x x^T / ||x||^2 with x_j = exp(-j (1 - theta))
@@ -22,14 +23,13 @@ bound constants are provided:
 import math
 import warnings
 from abc import ABC, abstractmethod
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
 from .probes import _block_counts
 
 __all__ = [
-    "AnalyticConstants",
     "AsymmetricMatrixError",
     "DecayingRankOne",
     "DenseSymmetric",
@@ -68,17 +68,6 @@ class AsymmetricMatrixError(ValueError):
         self.i, self.j = i, j
         super().__init__(f"asymmetric entries: A[{i + 1},{j + 1}]={m[i, j]:g} "
                          f"vs A[{j + 1},{i + 1}]={m[j, i]:g}")
-
-
-class AnalyticConstants(NamedTuple):
-    """Closed-form normwise bound ingredients of a test family (at s = 1)."""
-
-    k1: float
-    k2: float
-    norm_da: float
-    delta1: float
-    delta2: float
-    d: float
 
 
 class SymmetricOperator(ABC):
@@ -406,25 +395,6 @@ class IdentityPlusRankOne(_TestFamily):
         n, t, a_ii = self._dim, self.theta, 1.0 + self.theta
         return np.full(n, a_ii), np.full(n, (n - 1) * t * t), np.full(n, (n - 1) * abs(t))
 
-    def _dense(self) -> np.ndarray:
-        m = np.full((self._dim, self._dim), self.theta)
-        m[np.diag_indices(self._dim)] += 1.0
-        return m
-
-    def analytic_constants(self) -> AnalyticConstants:
-        n, t = self._dim, self.theta
-        k1 = (n - 1) * t * t
-        k2 = (n - 1) * t
-        norm_da = 1.0 + t
-        return AnalyticConstants(
-            k1=k1,
-            k2=k2,
-            norm_da=norm_da,
-            delta1=k1 / norm_da**2,
-            delta2=k2 / norm_da,
-            d=float(n),
-        )
-
 
 class DecayingRankOne(_TestFamily):
     """A = x x^T / ||x||^2 with x_j = exp(-j (1 - theta)), j = 1..n."""
@@ -455,26 +425,6 @@ class DecayingRankOne(_TestFamily):
         u, x = self._x * self._x / self._xnorm2, self._x
         return u, u * (1.0 - u), x * (self._xsum - x) / self._xnorm2
 
-    def _dense(self) -> np.ndarray:
-        return np.outer(self._x, self._x) / self._xnorm2
-
-    def analytic_constants(self) -> AnalyticConstants:
-        x = self._x
-        u = x * x / self._xnorm2
-        u1 = float(u[0])
-        k1 = u1 * (1.0 - u1)
-        tail = math.fsum(x[1:].tolist())
-        k2 = float(x[0]) * tail / self._xnorm2
-        d_num = math.fsum((u * (1.0 - u)).tolist())
-        return AnalyticConstants(
-            k1=k1,
-            k2=k2,
-            norm_da=u1,
-            delta1=1.0 / u1 - 1.0,
-            delta2=tail / float(x[0]),
-            d=d_num / k1,
-        )
-
 
 class TridiagToeplitz(_TestFamily):
     """Unit diagonal, constant off-diagonal theta (range [0.1, 1])."""
@@ -493,27 +443,6 @@ class TridiagToeplitz(_TestFamily):
         c = np.full(self._dim, 2.0)
         c[[0, -1]] = 1.0
         return np.ones(self._dim), c * (self.theta * self.theta), c * abs(self.theta)
-
-    def _dense(self) -> np.ndarray:
-        m = np.eye(self._dim)
-        idx = np.arange(self._dim - 1)
-        m[idx, idx + 1] = self.theta
-        m[idx + 1, idx] = self.theta
-        return m
-
-    def analytic_constants(self) -> AnalyticConstants:
-        # Closed forms take the interior-row maximum, so they need n >= 3.
-        if self._dim < 3:
-            raise ValueError("closed-form constants require n >= 3")
-        t = self.theta
-        return AnalyticConstants(
-            k1=2.0 * t * t,
-            k2=2.0 * t,
-            norm_da=1.0,
-            delta1=2.0 * t * t,
-            delta2=2.0 * t,
-            d=float(self._dim - 1),
-        )
 
 
 TEST_MATRIX_KINDS = {

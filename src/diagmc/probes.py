@@ -26,7 +26,7 @@ entry (a pair per two Gaussian entries), as in format 2.
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 import numpy as np
 from numpy.random import Philox
@@ -34,13 +34,10 @@ from numpy.random import Philox
 __all__ = [
     "STREAM_FORMAT",
     "EstimatorSpec",
-    "ProbeMoments",
     "RngState",
     "derive_seed",
     "gaussian",
-    "probe_moments",
     "rademacher",
-    "sample_probe",
     "sample_probe_block",
     "sample_uniform_block",
     "sparse_rademacher",
@@ -134,17 +131,6 @@ def _draws_gaussians(spec: EstimatorSpec) -> bool:
     if spec.method == "dgsm":
         raise ValueError("estimator 'dgsm' draws no probes")
     return spec.method in ("gaussian", "normalized_gaussian")
-
-
-class ProbeMoments(NamedTuple):
-    mean: float
-    variance: float
-    fourth_moment: float
-
-
-def probe_moments(spec: EstimatorSpec) -> ProbeMoments:
-    """Analytic per-entry moments (mean, variance, fourth moment) of a spec's probes."""
-    return ProbeMoments(0.0, 1.0, 3.0 if _draws_gaussians(spec) else spec.sparsity)
 
 
 @dataclass(frozen=True)
@@ -341,14 +327,6 @@ def sample_probe_block(
         # Rademacher, and sparse_rademacher(1) with it
         return _sample_block(n, state, count, _fill_rademacher, entries_per_word=64)
     return _sample_block(n, state, count, partial(_fill_sparse, s=spec.s))
-
-
-def sample_probe(
-    spec: EstimatorSpec, n: int, state: RngState
-) -> tuple[np.ndarray, RngState]:
-    """Draw the single probe addressed by ``state`` and advance the counter."""
-    block, new_state = sample_probe_block(spec, n, state, 1)
-    return block[:, 0], new_state
 
 
 def sample_uniform_block(

@@ -14,9 +14,9 @@ import time
 import numpy as np
 import pytest
 
+from closed_forms import LinearGradient, family_constants
 from diagmc import bounds
 from diagmc.estimators import (
-    LinearGradientOracle,
     QuadraticGradientOracle,
     estimate_dgsm,
     estimate_diagonal,
@@ -53,9 +53,8 @@ def test_criterion_01_constant_reproduction():
     worst = 0.0
     for kind, thetas in THETA_GRIDS.items():
         for theta in thetas:
-            op = make_test_matrix(kind, 100, theta)
-            nc = bounds.normwise_constants(op)
-            ref = op.analytic_constants()
+            nc = bounds.normwise_constants(make_test_matrix(kind, 100, theta))
+            ref = family_constants(kind, 100, theta)
             pairs = [
                 (nc.k1, ref.k1), (nc.k2, ref.k2), (nc.d, ref.d),
                 (nc.delta1, ref.delta1), (nc.delta2, ref.delta2),
@@ -308,7 +307,7 @@ def test_criterion_10_dgsm_correctness():
 
     h = np.random.default_rng(10).uniform(-2.0, 2.0, 100)
     linear_exact = np.array_equal(
-        estimate_dgsm(LinearGradientOracle(h), 1, 0).value, h * h
+        estimate_dgsm(LinearGradient(h), 1, 0).value, h * h
     )
 
     (config,) = standard_experiment_configs(4, seed=0)

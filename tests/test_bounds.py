@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from closed_forms import entries, family_constants
 from diagmc import bounds
 from diagmc.estimators import estimate_diagonal, estimate_diagonal_normalized
 from diagmc.harness import EstimatorSpec, normalized_error_samples, replicate_component_errors
@@ -46,6 +47,11 @@ def _oracle_normwise(m, s=1.0):
     return k1, k2, d, k1 / norm_da**2, k2 / norm_da
 
 
+def _linear_model_constants(h):
+    """DGSM constants of f(x) = h^T x: the metric h o h and the gradient bound max |h_i|."""
+    return bounds.dgsm_constants(h * h, np.max(np.abs(h)))
+
+
 def _random_symmetric(n, seed=0):
     m = np.random.default_rng(seed).standard_normal((n, n))
     m = 0.5 * (m + m.T)
@@ -71,9 +77,8 @@ class TestNormwiseConstants:
     @pytest.mark.parametrize("kind", ["rank1", "decay", "tridiag"])
     def test_closed_forms_match_definitions(self, kind):
         for theta in THETA_GRIDS[kind]:
-            op = make_test_matrix(kind, 100, theta)
-            nc = bounds.normwise_constants(op)
-            ref = op.analytic_constants()
+            nc = bounds.normwise_constants(make_test_matrix(kind, 100, theta))
+            ref = family_constants(kind, 100, theta)
             for got, want in [
                 (nc.k1, ref.k1), (nc.k2, ref.k2), (nc.d, ref.d),
                 (nc.delta1, ref.delta1), (nc.delta2, ref.delta2),
@@ -152,7 +157,7 @@ class TestNormwiseConstants:
         # densifying this operator would take 80 GB
         n, theta = 100_000, 0.5
         op = _tridiag_coo(n, theta)
-        closed = make_test_matrix("tridiag", 3, theta).analytic_constants()
+        closed = family_constants("tridiag", 3, theta)
         (nc, end, mid), peak = peak_bytes(lambda: (
             bounds.normwise_constants(op),
             bounds.component_constants(op, 0),
@@ -180,7 +185,7 @@ class TestFamiliesAtAMillion:
             bounds.gaussian_normwise_window(op),
         ))
         assert peak < 64 * 2**20
-        closed = op.analytic_constants()
+        closed = family_constants(kind, n, theta)
         assert nc.k1 == pytest.approx(closed.k1, rel=1e-10)
         assert nc.k2 == pytest.approx(closed.k2, rel=1e-10)
         assert cc.a_ii == op.exact_diag()[n // 2] and ratio >= 1.0
@@ -210,7 +215,7 @@ class TestMillionTridiagonal:
     def test_planned(self, op, peak_bytes):
         nc, peak = peak_bytes(lambda: bounds.normwise_constants(op))
         assert peak < 96 * 2**20
-        closed = make_test_matrix("tridiag", 3, 0.5).analytic_constants()
+        closed = family_constants("tridiag", 3, 0.5)
         assert nc.k1 == closed.k1 and nc.k2 == closed.k2 and nc.d == 10**6 - 1
         assert bounds.plan_samples_normwise(nc, 0.1, 1e-6) >= 1
 
@@ -302,7 +307,7 @@ class TestNormwisePlanner:
         op = make_test_matrix("tridiag", 10, 0.5)
         nc = bounds.normwise_constants(op)
         cc = bounds.component_constants(op, 3)
-        dc = bounds.linear_model_constants(np.array([1.0, 0.5]))
+        dc = _linear_model_constants(np.array([1.0, 0.5]))
         with pytest.raises(ValueError, match="finite"):
             bounds.plan_samples_normwise(nc, eps, 0.1)
         with pytest.raises(ValueError, match="finite"):
@@ -326,7 +331,7 @@ class TestEpsilonInversion:
     @pytest.mark.parametrize("delta", [math.nan, 0.0, 1.0])
     def test_inverters_share_the_delta_check(self, delta):
         nc = bounds.normwise_constants(make_test_matrix("tridiag", 10, 0.5))
-        dc = bounds.linear_model_constants(np.array([1.0, 0.5]))
+        dc = _linear_model_constants(np.array([1.0, 0.5]))
         for invert, constants in ((bounds.epsilon_for_samples_normwise, nc),
                                   (bounds.epsilon_for_samples_dgsm, dc)):
             with pytest.raises(ValueError, match=r"delta must lie in \(0, 1\)"):
@@ -534,7 +539,7 @@ class TestComponentPlanner:
 class TestDgsm:
     def test_linear_model_closed_forms(self):
         h = np.array([2.0, -1.0, 0.5, 1.5])
-        dc = bounds.linear_model_constants(h)
+        dc = _linear_model_constants(h)
         beta = np.max(np.abs(h))
         v = h**2 * (beta**2 - h**2)
         assert dc.beta == beta
@@ -578,7 +583,7 @@ class TestDgsm:
             bounds.dgsm_constants(np.array([-1.0, 1.0]), 2.0)
 
     def test_epsilon_inversion_scaling(self):
-        dc = bounds.linear_model_constants(np.array([1.0, 2.0, 0.5]))
+        dc = _linear_model_constants(np.array([1.0, 2.0, 0.5]))
         for n in (16, 100):
             assert bounds.epsilon_for_samples_dgsm(dc, 4 * n, 0.01) == \
                 bounds.epsilon_for_samples_dgsm(dc, n, 0.01) / 2.0
@@ -598,7 +603,7 @@ class TestDgsm:
 
     def test_planner_tail_duality_cmax_at_least_one(self):
         # the printed planner is exact w.r.t. the tail precisely when cmax >= 1
-        dc = bounds.linear_model_constants(np.array([2.0, 1.0, 0.5]))
+        dc = _linear_model_constants(np.array([2.0, 1.0, 0.5]))
         assert dc.cmax >= 1.0
         for eps, delta in [(0.5, 0.05), (0.25, 0.01)]:
             planned = bounds.plan_samples_dgsm(dc, eps, delta)
@@ -618,7 +623,7 @@ class TestDgsm:
         assert planned == pytest.approx(dc.cmax * tail_requirement, abs=1.0)
 
     def test_tail_validates_inputs(self):
-        dc = bounds.linear_model_constants(np.array([1.0, 0.5]))
+        dc = _linear_model_constants(np.array([1.0, 0.5]))
         with pytest.raises(ValueError):
             bounds.dgsm_tail_bound(dc, 0, 0.1)
         with pytest.raises(ValueError):
@@ -674,7 +679,7 @@ class TestOffDiagonalMass:
 
     @staticmethod
     def _reference(op):
-        m = op.to_dense()
+        m = entries(op)
         np.fill_diagonal(m, 0.0)
         return np.sum(m * m, axis=1)
 

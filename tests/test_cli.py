@@ -513,11 +513,14 @@ class TestExperiment:
         (("--id", "4", "--n", "0"), "dgsm_quadratic needs n >= 1, got 0"),
         (("--id", "1", "--delta", "2"), "delta must lie in (0, 1), got 2.0"),
         (("--id", "2", "--thetas", "nan"), "thetas must be finite"),
-    ], ids=["family-n", "dgsm-n", "delta", "theta"])
+        (("--id", "1", "--n-grid", ""), "--n-grid must be a comma-separated integer list"),
+        (("--id", "1", "--thetas", ""), "--thetas must be a comma-separated float list"),
+    ], ids=["family-n", "dgsm-n", "delta", "theta", "empty-grid", "empty-thetas"])
     def test_bad_config_is_usage_error(self, tmp_path, capsys, argv, message):
         out = tmp_path / "exp.csv"
-        code, _, err = _run(capsys, "experiment", *argv, "--replicates", "1",
-                            "--n-grid", "16", "--out", str(out))
+        # argv comes last, so its --n-grid replaces the small default grid
+        code, _, err = _run(capsys, "experiment", "--replicates", "1", "--n-grid", "16",
+                            *argv, "--out", str(out))
         assert code == EXIT_USAGE and err.startswith("usage error:") and message in err
         assert not out.exists()
 
@@ -525,7 +528,8 @@ class TestExperiment:
         (("--id", "2", "--delta", "0.1"), "experiment 2 has no bound curve; delta does not apply"),
         (("--id", "3", "--delta", "0.1"), "experiment 3 has no bound curve; delta does not apply"),
         (("--id", "4", "--thetas", "0.5"), "experiment 4 has no theta grid; thetas do not apply"),
-    ], ids=["delta-2", "delta-3", "thetas-4"])
+        (("--id", "4", "--thetas", ""), "--thetas must be a comma-separated float list"),
+    ], ids=["delta-2", "delta-3", "thetas-4", "empty-thetas-4"])
     def test_ignored_flag_is_usage_error(self, tmp_path, capsys, argv, message):
         out = tmp_path / "exp.csv"
         code, stdout, err = _run(capsys, "experiment", *argv, "--out", str(out))

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from closed_forms import dense, entries, family_constants
 from diagmc import operators, probes
 from diagmc.operators import (
     DENSE_LIMIT,
@@ -61,21 +62,20 @@ class TestApply:
 
     @pytest.mark.parametrize("op", _all_operators(), ids=lambda o: type(o).__name__)
     def test_columns_match_dense(self, op):
-        dense = op.to_dense()
+        m = entries(op)
         eye = np.eye(op.dim)
-        assert np.array_equal(op.apply(eye), dense)
+        assert np.array_equal(op.apply(eye), m)
         for j in (0, op.dim // 2, op.dim - 1):
-            assert np.array_equal(op.apply(eye[:, j]), dense[:, j])
+            assert np.array_equal(op.apply(eye[:, j]), m[:, j])
 
     @pytest.mark.parametrize("kind", ["rank1", "decay", "tridiag"])
     def test_columns_match_dense_at_200(self, kind):
         op = make_test_matrix(kind, 200, 0.1)
-        assert np.array_equal(op.apply(np.eye(200)), op.to_dense())
+        assert np.array_equal(op.apply(np.eye(200)), dense(kind, 200, 0.1))
 
     @pytest.mark.parametrize("op", _all_operators(), ids=lambda o: type(o).__name__)
     def test_symmetry_random_pairs(self, op):
-        dense = op.to_dense()
-        scale = np.max(np.abs(dense)) * op.dim
+        scale = np.max(np.abs(entries(op))) * op.dim
         for _ in range(100):
             u = RNG.standard_normal(op.dim)
             v = RNG.standard_normal(op.dim)
@@ -110,7 +110,7 @@ class TestExactDiag:
     @pytest.mark.parametrize("op", _all_operators(), ids=lambda o: type(o).__name__)
     def test_matches_dense_diagonal(self, op):
         assert np.allclose(
-            op.exact_diag(), np.diag(op.to_dense()), rtol=1e-15, atol=0
+            op.exact_diag(), np.diag(entries(op)), rtol=1e-15, atol=0
         )
 
     def test_matrix_free_unsupported(self):
@@ -122,22 +122,28 @@ class TestExactDiag:
 
 
 class TestEntries:
+    # a family's entries are its columns, A e_j; it has no dense accessor
     def test_tridiag_entries(self):
-        dense = make_test_matrix("tridiag", 100, 0.5).to_dense()
-        assert dense[0, 1] == 0.5
-        assert dense[0, 2] == 0.0
-        assert dense[50, 50] == 1.0
+        columns = make_test_matrix("tridiag", 100, 0.5).apply(np.eye(100))
+        assert columns[0, 1] == 0.5
+        assert columns[0, 2] == 0.0
+        assert columns[50, 50] == 1.0
 
     def test_rank1_entries(self):
-        dense = make_test_matrix("rank1", 100, 0.01).to_dense()
-        assert dense[3, 7] == 0.01
-        assert dense[9, 9] == 1.01
+        columns = make_test_matrix("rank1", 100, 0.01).apply(np.eye(100))
+        assert columns[3, 7] == 0.01
+        assert columns[9, 9] == 1.01
 
     def test_decay_outer_product(self):
         op = make_test_matrix("decay", 3, 0.5)
         x = np.exp(-0.5 * np.arange(1, 4))
         expected = np.outer(x, x) / np.sum(x * x)
-        assert np.allclose(op.to_dense(), expected, rtol=1e-14)
+        assert np.allclose(op.apply(np.eye(3)), expected, rtol=1e-14)
+
+    @pytest.mark.parametrize("kind", ["rank1", "decay", "tridiag"])
+    def test_families_refuse_to_densify(self, kind):
+        with pytest.raises(UnsupportedOperationError, match="has no explicit-entries accessor$"):
+            make_test_matrix(kind, 4, 0.1).to_dense()
 
     def test_decay_norm_spans_many_orders(self):
         op = DecayingRankOne(100, 0.1)
@@ -303,7 +309,7 @@ class TestDecaySums:
         u = x * x / xnorm2
         tail = math.fsum(float(v) for v in x[1:])
         d_num = math.fsum(float(ui) * (1.0 - float(ui)) for ui in u)
-        c = op.analytic_constants()
+        c = family_constants("decay", n, theta)
         assert (c.k2, c.delta2) == (float(x[0]) * tail / xnorm2, tail / float(x[0]))
         assert c.d == d_num / c.k1
 
@@ -535,7 +541,7 @@ class TestRowSums:
     def test_family_closed_forms_match_dense(self, kind, theta):
         for n in (2, 3, 17, 100, 2000):
             op = make_test_matrix(kind, n, theta)
-            expected = DenseSymmetric._wrap(op.to_dense()).row_sums()
+            expected = DenseSymmetric._wrap(dense(kind, n, theta)).row_sums()
             got = op.row_sums()
             for have, want in zip(got, expected):
                 assert have.dtype == np.float64 and have.shape == (n,)

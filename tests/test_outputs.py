@@ -53,10 +53,26 @@ LINES = 100  # off the recorded platform: lines whose numbers are stored, at mos
 _OUT = "out.csv"  # every command that writes a CSV writes it here
 
 
-def _coordinate_file(n, entries):
+def _coordinate_file(n, entries, symmetry="symmetric"):
     lines = [f"{i} {j} {v}" for i, j, v in entries]
-    return (f"%%MatrixMarket matrix coordinate real symmetric\n{n} {n} {len(lines)}\n"
+    return (f"%%MatrixMarket matrix coordinate real {symmetry}\n{n} {n} {len(lines)}\n"
             + "\n".join(lines) + "\n")
+
+
+def _other_layouts(n, lower):
+    """The symmetric matrix with these lower-triangle entries as a general coordinate,
+    a symmetric array and a general array file."""
+    at = {(i, j): v for i, j, v in lower}
+
+    def array_file(symmetry, first_row):  # column-major, from row first_row(j) of column j
+        values = [at.get((max(i, j), min(i, j)), 0)
+                  for j in range(1, n + 1) for i in range(first_row(j), n + 1)]
+        return f"%%MatrixMarket matrix array real {symmetry}\n{n} {n}\n" + "".join(f"{v}\n" for v in values)
+
+    mirrored = [(j, i, v) for i, j, v in lower if i != j]
+    return {"general": _coordinate_file(n, lower + mirrored, "general"),
+            "array": array_file("symmetric", lambda j: j),
+            "general-array": array_file("general", lambda j: 1)}
 
 
 def _banded(n):
@@ -83,6 +99,7 @@ def _write_inputs(directory: Path) -> None:
         # squares overflow to inf
         "huge.mtx": _coordinate_file(4, [(i, i, "1e200") for i in range(1, 5)] + [(2, 1, "1e200")]),
         "notsquare.mtx": "%%MatrixMarket matrix coordinate real general\n3 4 0\n",
+        **{f"small-{layout}.mtx": text for layout, text in _other_layouts(12, small).items()},
     }
     for name, text in files.items():
         (directory / name).write_text(text)
@@ -152,6 +169,11 @@ def _commands():
         "experiment-ignored-thetas": ("experiment", "--id", "4", "--thetas", "0.5"),
     }
     out.update({f"error-{name}": (True, argv) for name, argv in errors.items()})
+    # the small matrix in the loader's other layouts: each must give estimate-small-rademacher's output
+    for layout in ("general", "array", "general-array"):
+        out[f"estimate-small-{layout}-rademacher"] = (False, (
+            "estimate", "--matrix-file", f"small-{layout}.mtx", "--dist", "rademacher",
+            "--samples", "64", "--seed", "5", "--out", _OUT))
     return out
 
 
@@ -252,6 +274,12 @@ def test_output_matches_manifest(manifest, inputs, monkeypatch, name):
         _check_numbers(text, entry)
     if exact or manifest["platform"] == platform_key():
         assert (_sha(text), len(text.encode())) == (entry["sha256"], entry["bytes"]), text[:2000]
+
+
+def test_layouts_load_the_same_matrix(manifest):
+    outputs = manifest["outputs"]
+    for layout in ("general", "array", "general-array"):
+        assert outputs[f"estimate-small-{layout}-rademacher"] == outputs["estimate-small-rademacher"]
 
 
 def test_number_check_has_the_stated_tolerance():

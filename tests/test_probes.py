@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
+from closed_forms import fourth_moment
 from diagmc import probes
 from diagmc.probes import (
     STREAM_FORMAT,
@@ -16,9 +18,7 @@ from diagmc.probes import (
     RngState,
     derive_seed,
     gaussian,
-    probe_moments,
     rademacher,
-    sample_probe,
     sample_probe_block,
     sample_uniform_block,
     sparse_rademacher,
@@ -60,22 +60,6 @@ class TestValidation:
     def test_negative_counter(self):
         with pytest.raises(ValueError):
             RngState(1, -1)
-
-
-class TestMoments:
-    def test_rademacher(self):
-        assert probe_moments(rademacher()) == (0.0, 1.0, 1.0)
-
-    def test_sparse(self):
-        assert probe_moments(sparse_rademacher(10)) == (0.0, 1.0, 10.0)
-
-    def test_gaussian(self):
-        assert probe_moments(gaussian()) == (0.0, 1.0, 3.0)
-        assert probe_moments(EstimatorSpec("normalized_gaussian")) == (0.0, 1.0, 3.0)
-
-    def test_dgsm_has_no_probes(self):
-        with pytest.raises(ValueError, match="draws no probes"):
-            probe_moments(EstimatorSpec("dgsm"))
 
 
 class TestLaws:
@@ -123,7 +107,7 @@ class TestLaws:
     )
     def test_empirical_moments(self, dist):
         draws = _draws(dist, N_EMPIRICAL)
-        m4 = probe_moments(dist).fourth_moment
+        m4 = fourth_moment(dist)
         assert abs(draws.mean()) <= 4.0 / np.sqrt(N_EMPIRICAL)
         assert abs(np.mean(draws**2) - 1.0) <= 0.01
         assert abs(np.mean(draws**4) - m4) <= 0.03 * m4
@@ -149,8 +133,8 @@ class TestDeterminism:
 
     def test_same_state_same_output(self):
         for dist in (rademacher(), sparse_rademacher(3), gaussian()):
-            a, sa = sample_probe(dist, 17, RngState(42, 3))
-            b, sb = sample_probe(dist, 17, RngState(42, 3))
+            a, sa = sample_probe_block(dist, 17, RngState(42, 3), 1)
+            b, sb = sample_probe_block(dist, 17, RngState(42, 3), 1)
             assert np.array_equal(a, b)
             assert sa == sb == RngState(42, 4)
 
@@ -161,8 +145,8 @@ class TestDeterminism:
             (sparse_rademacher(3), "sparse3"),
             (gaussian(), "gaussian"),
         ]:
-            vec, _ = sample_probe(dist, 6, state)
-            assert vec.tolist() == self.GOLDEN[key]
+            vec, _ = sample_probe_block(dist, 6, state, 1)
+            assert vec[:, 0].tolist() == self.GOLDEN[key]
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -180,8 +164,8 @@ class TestDeterminism:
         block, end = sample_probe_block(dist, n, RngState(7, start), count)
         assert end == RngState(7, start + count)
         for j in range(count):
-            single, _ = sample_probe(dist, n, RngState(7, start + j))
-            assert np.array_equal(block[:, j], single)
+            single, _ = sample_probe_block(dist, n, RngState(7, start + j), 1)
+            assert np.array_equal(block[:, j], single[:, 0])
 
     def test_disjoint_counters_uncorrelated(self):
         a, _ = sample_probe_block(gaussian(), 100, RngState(5, 0), 1000)
@@ -193,6 +177,65 @@ class TestDeterminism:
         assert derive_seed(3, 1, 2, 5) == derive_seed(3, 1, 2, 5)
         seeds = {derive_seed(0, i, j) for i in range(20) for j in range(20)}
         assert len(seeds) == 400
+
+
+def _overlapping_block(spec, n, state, count):
+    """A planted defect built from the public sampler: probe k + 1 starts one Philox
+    word after probe k, so consecutive windows overlap.  At n = 100 a Rademacher
+    probe (64 entries a word) repeats 36 signs of the probe before it, and a sparse
+    probe (one entry a word) repeats 99 entries, shifted by one."""
+    per_word = 64 if spec.sparsity == 1.0 else 1
+    stream, _ = sample_probe_block(spec, per_word * (count - 1) + n, state, 1)
+    return sliding_window_view(stream[:, 0], n)[::per_word].T, state.advance(count)
+
+
+class TestIndependence:
+    """Probe k and probe k + 1 are independent, within a block and across calls.
+
+    The statistic is the largest entry of the lag-1 cross-covariance
+    C = (1/K) sum_k w_k w_(k+1)^T over K consecutive pairs.  Under independence
+    each entry's K terms w_k[i] w_(k+1)[j] are martingale differences (the next
+    probe has mean 0 given the earlier ones) of magnitude at most c: 1 for
+    Rademacher entries, s for sparse entries of magnitude sqrt(s).  Azuma-Hoeffding
+    gives P(|C_ij| >= tau) <= 2 exp(-K tau^2 / (2 c^2)), so with a union bound over
+    the n^2 entries a threshold tau = c sqrt(2 ln(2 n^2 / ALPHA) / K) fails an
+    independent stream with probability at most ALPHA per check.  At n = 100 and
+    K = 4,096, tau is 0.108 (Rademacher) and 0.323 (sparse:3); the stream reads
+    0.061 and 0.070, and the overlapping sampler 1.0 and 1.02.
+    """
+
+    N, K, ALPHA = 100, 4096, 1e-6
+    FAMILIES = [(rademacher(), 1.0), (sparse_rademacher(3), 3.0)]
+    IDS = ["rademacher", "sparse:3"]
+
+    @classmethod
+    def _independent(cls, stream, c):
+        left, right = stream[:, :-1], stream[:, 1:]
+        pairs = left.shape[1]
+        tau = c * math.sqrt(2.0 * math.log(2.0 * cls.N**2 / cls.ALPHA) / pairs)
+        return np.max(np.abs(left @ right.T)) / pairs < tau
+
+    @classmethod
+    def _one_block(cls, sample, spec):
+        return sample(spec, cls.N, RngState(0), cls.K + 1)[0]
+
+    @classmethod
+    def _two_calls(cls, sample, spec):
+        # the stream read as two consecutive calls of K / 2 + 1 and K / 2 probes
+        first, state = sample(spec, cls.N, RngState(0), cls.K // 2 + 1)
+        return np.hstack([first, sample(spec, cls.N, state, cls.K // 2)[0]])
+
+    @pytest.mark.parametrize("spec,c", FAMILIES, ids=IDS)
+    @pytest.mark.parametrize("read", ["_one_block", "_two_calls"])
+    def test_lag_one_cross_covariance_is_small(self, spec, c, read):
+        assert self._independent(getattr(self, read)(sample_probe_block, spec), c)
+
+    @pytest.mark.parametrize("spec,c", FAMILIES, ids=IDS)
+    @pytest.mark.parametrize("read", ["_one_block", "_two_calls"])
+    def test_overlapping_windows_are_caught(self, spec, c, read):
+        stream = getattr(self, read)(_overlapping_block, spec)
+        assert stream.shape == (self.N, self.K + 1)
+        assert not self._independent(stream, c)
 
 
 class TestUniform:
