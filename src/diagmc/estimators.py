@@ -31,7 +31,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .operators import SymmetricOperator, _check_index
+from .operators import SymmetricOperator, _check_index, _chunk_rows
 from .probes import (
     EstimatorSpec,
     RngState,
@@ -70,6 +70,21 @@ def _two_sum(sums: np.ndarray, values: np.ndarray) -> None:
     back = total - sums[0]
     sums[1] += (sums[0] - (total - back)) + (values - back)
     sums[0] = total
+
+
+def _row_products(left: np.ndarray, right: np.ndarray, out: np.ndarray) -> None:
+    """``out = (left * right).sum(axis=1)`` bit for bit, through one chunk of the product at a time."""
+    if not (left.flags.c_contiguous or right.flags.c_contiguous):
+        # numpy may lay this product out column-major and add each row in column order
+        np.multiply(left, right).sum(axis=1, out=out)
+        return
+    # a row-major product's rows are summed pairwise, whatever rows share the call
+    n, k = left.shape
+    chunk = _chunk_rows(n, k)
+    buf = np.empty((chunk, k))
+    for lo in range(0, n, chunk):
+        hi = min(n, lo + chunk)
+        np.multiply(left[lo:hi], right[lo:hi], out=buf[: hi - lo]).sum(axis=1, out=out[lo:hi])
 
 
 class DiagonalEstimate:
@@ -133,7 +148,10 @@ class DiagonalEstimate:
         if probes.shape != aprobes.shape or probes.ndim != 2 or probes.shape[0] != self._dim:
             raise ValueError("probe blocks must both be (n, k) arrays")
         factors = (aprobes, probes) if self._mode == NORMALIZED else (aprobes,)
-        _two_sum(self._sums, np.array([(f * probes).sum(axis=1) for f in factors]))
+        values = np.empty((len(factors), self._dim))
+        for f, out in zip(factors, values):
+            _row_products(f, probes, out)
+        _two_sum(self._sums, values)
         self._count += probes.shape[1]
         return self
 

@@ -97,9 +97,11 @@ def _build(n: int, symmetry: str, values, rows=None, cols=None, at=None) -> Symm
         op = CooSymmetric(n, rows, cols, values)
         return op if n > DENSE_LIMIT else DenseSymmetric._wrap(op.to_dense())
     if rows is None and symmetry == "symmetric":
-        # the column-major lower triangle is the row-major upper one, mirrored
-        m, upper = np.zeros((n, n)), np.triu_indices(n)
-        m[upper] = m.T[upper] = values
+        # the column-major lower triangle: column i from the diagonal down, mirrored into row i
+        m, start = np.empty((n, n)), 0
+        for i in range(n):
+            m[i, i:] = m[i:, i] = values[start : start + n - i]
+            start += n - i
         return DenseSymmetric._wrap(m)
     m = values.reshape((n, n), order="F") if rows is None else np.zeros((n, n))
     if rows is not None:

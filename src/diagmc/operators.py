@@ -27,8 +27,6 @@ from typing import Callable
 
 import numpy as np
 
-from .probes import _block_counts
-
 __all__ = [
     "AsymmetricMatrixError",
     "DecayingRankOne",
@@ -45,6 +43,15 @@ __all__ = [
 
 # Largest dimension stored (and densified) as a full n x n array.
 DENSE_LIMIT = 10_000
+# Every walk over the rows of a block or matrix (the sparse apply, the dense
+# row sums and symmetrization, and the estimators' row products) takes chunks
+# of at most this many entries, one row at least: 512 KiB a scratch buffer.
+_APPLY_ELEMENTS = 2**16
+
+
+def _chunk_rows(n: int, width: int) -> int:
+    """Rows per chunk of an (n, width) walk: ``_APPLY_ELEMENTS`` entries, but one row at least."""
+    return max(1, min(n, _APPLY_ELEMENTS // max(width, 1)))
 
 
 def _check_finite(values: np.ndarray) -> None:
@@ -169,16 +176,23 @@ class DenseSymmetric(SymmetricOperator):
         m = np.asarray(matrix, dtype=np.float64)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
-        _check_finite(m)
-        scale = float(np.max(np.abs(m))) if m.size else 0.0
-        with np.errstate(over="ignore"):  # an infinite difference is refused as asymmetric
-            bad = np.argwhere(np.abs(m - m.T) > 1e-12 * max(scale, 1e-300))
-        if bad.size:
-            raise AsymmetricMatrixError(m, *(int(v) for v in bad[0]))
-        # pairs with equal bits keep them, subnormals too; the other pairs (0 and -0
-        # among them) are averaged by halves, which cannot overflow
-        bits = m.view(np.uint64)
-        return cls._wrap(np.where(bits == bits.T, m, 0.5 * m + 0.5 * m.T))
+        n = m.shape[0]
+        chunk = _chunk_rows(n, n)
+        # numpy's max keeps a NaN, so a NaN or inf entry anywhere leaves a NaN or inf scale
+        scale = float(np.max([np.max(np.abs(m[lo : lo + chunk])) for lo in range(0, n, chunk)], initial=0.0))
+        _check_finite(scale)
+        out = np.empty((n, n))
+        for lo in range(0, n, chunk):  # a chunk of rows against the matching chunk of columns
+            rows, cols = m[lo : lo + chunk], m[:, lo : lo + chunk].T
+            with np.errstate(over="ignore"):  # an infinite difference is refused as asymmetric
+                bad = np.argwhere(np.abs(rows - cols) > 1e-12 * max(scale, 1e-300))
+            if bad.size:
+                raise AsymmetricMatrixError(m, lo + int(bad[0, 0]), int(bad[0, 1]))
+            # pairs with equal bits keep them, subnormals too; the other pairs (0 and -0
+            # among them) are averaged by halves, which cannot overflow
+            same = rows.view(np.uint64) == cols.view(np.uint64)
+            out[lo : lo + chunk] = np.where(same, rows, 0.5 * rows + 0.5 * cols)
+        return cls._wrap(out)
 
     def _dense(self) -> np.ndarray:
         return self._matrix.copy()
@@ -188,23 +202,21 @@ class DenseSymmetric(SymmetricOperator):
 
     def row_sums(self):
         m, n = self._matrix, self._dim
-        # |A| without its diagonal goes through one reused row block, not a second n x n array
-        buf, off2, off_abs, lo = np.empty((next(_block_counts(n, n)), n)), np.empty(n), np.empty(n), 0
-        for count in _block_counts(n, n):
-            rows = np.abs(m[lo : lo + count], out=buf[:count])
-            rows[np.arange(count), np.arange(lo, lo + count)] = 0.0
-            off_abs[lo : lo + count] = rows.sum(axis=1)
-            off2[lo : lo + count] = np.einsum("ij,ij->i", rows, rows)  # an overflow to inf is silent
-            lo += count
+        # |A| without its diagonal goes through one reused chunk of rows, not a second n x n array
+        chunk = _chunk_rows(n, n)
+        buf, off2, off_abs = np.empty((chunk, n)), np.empty(n), np.empty(n)
+        for lo in range(0, n, chunk):
+            hi = min(n, lo + chunk)
+            rows = np.abs(m[lo:hi], out=buf[: hi - lo])
+            rows[np.arange(hi - lo), np.arange(lo, hi)] = 0.0
+            rows.sum(axis=1, out=off_abs[lo:hi])
+            off2[lo:hi] = np.einsum("ij,ij->i", rows, rows)  # an overflow to inf is silent
         return self.exact_diag(), off2, off_abs
 
     def _matvec(self, mat):
         return self._matrix @ mat
 
 
-# A sparse apply walks a block in row chunks of at most this many entries;
-# its two chunk buffers take 1 MiB next to the output.
-_APPLY_ELEMENTS = 2**16
 # A jagged-diagonal slot holds at least this many rows (or every row), so a
 # pass over the slots makes at most (stored entries) / _SLOT_ROWS iterations.
 _SLOT_ROWS = 64
@@ -301,7 +313,7 @@ class CooSymmetric(SymmetricOperator):
         if not k:
             return np.empty((n, 0))
         mat = np.ascontiguousarray(mat)  # one take gathers all k columns of a row
-        chunk = min(n, max(1, _APPLY_ELEMENTS // k))
+        chunk = _chunk_rows(n, k)
         acc, gathered = np.empty((chunk, k)), np.empty((chunk, k))
 
         def products(lo, m):  # stored values lo..lo+m times their rows of the block

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from closed_forms import LinearGradient
-from diagmc import probes
+from diagmc import operators, probes
 from diagmc.estimators import (
     DegenerateProbeError,
     DiagonalEstimate,
@@ -19,6 +19,7 @@ from diagmc.estimators import (
     estimate_diagonal,
     estimate_diagonal_normalized,
     normwise_relative_error,
+    _row_products,
 )
 from diagmc.operators import DenseSymmetric, MatrixFreeOperator, make_test_matrix
 from diagmc.probes import (
@@ -356,6 +357,86 @@ class TestTwoSumAccumulator:
         est = DiagonalEstimate(1).update_block(one, [[1e16]]).update_block(one, [[1.0]])
         other = DiagonalEstimate(1).update_block(one, [[1.0]]).update_block(one, [[-1e16]])
         assert est.merge(other).numerator[0] == 2.0
+
+
+def _parent_row_products(probes, aprobes, normalized):
+    """The sums ``update_block`` added before it walked row chunks: one (n, k) product per factor."""
+    factors = (aprobes, probes) if normalized else (aprobes,)
+    return np.array([(f * probes).sum(axis=1) for f in factors])
+
+
+def _laid_out(block, layout):
+    if layout == "F":
+        return np.asfortranarray(block)
+    if layout == "strided":  # every other column of a wider row-major array
+        wide = np.full((block.shape[0], 2 * block.shape[1]), np.nan)
+        wide[:, ::2] = block
+        return wide[:, ::2]
+    if layout == "strided-F":  # every other row of a taller column-major array
+        tall = np.full((2 * block.shape[0], block.shape[1]), np.nan, order="F")
+        tall[::2] = block
+        return tall[::2]
+    return block
+
+
+@st.composite
+def _laid_out_pair(draw):
+    """Two (n, k) blocks, n 1-300 and k 0-80, each C-ordered, F-ordered or a strided view.
+
+    Magnitudes span 1e-16 to 1e16, and a third or all of the entries are zeros of either
+    sign, so that the sign of a zero row sum is compared too.
+    """
+    n, k = draw(st.integers(1, 300)), draw(st.integers(0, 80))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pair = []
+    for layout in draw(st.lists(st.sampled_from(["C", "F", "strided", "strided-F"]), min_size=2, max_size=2)):
+        block = rng.standard_normal((n, k)) * 10.0 ** rng.integers(-16, 17, (n, k))
+        zeros = rng.random((n, k)) < draw(st.sampled_from([0.35, 1.0]))
+        block[zeros] = np.copysign(0.0, rng.random(zeros.sum()) - 0.5)
+        pair.append(_laid_out(block, layout))
+    return tuple(pair)
+
+
+class TestRowChunks:
+    """``update_block`` sums a chunk of rows at a time and adds the same bits as one product per factor."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(pair=_laid_out_pair(), normalized=st.booleans(),
+           budget=st.sampled_from([1, 3, 64, 2**16]))
+    # a column-major product of -0.0 (summed whole, as before): where numpy's sum starts a
+    # row decides the sign of its zero
+    @example(pair=(np.ones((3, 2), order="F"), np.full((3, 2), -0.0, order="F")),
+             normalized=False, budget=1)
+    def test_equals_one_product_per_factor(self, pair, normalized, budget):
+        probes, aprobes = pair
+        n = probes.shape[0]
+        want = _parent_row_products(probes, aprobes, normalized)
+        est, ref = DiagonalEstimate(n, NORMALIZED if normalized else UNNORMALIZED), _ReferenceEstimate(n, normalized)
+        with pytest.MonkeyPatch.context() as mp:
+            # budget 1 puts every row of a row-major product in a chunk of its own
+            mp.setattr(operators, "_APPLY_ELEMENTS", budget)
+            have = np.empty_like(want)
+            for f, out in zip((aprobes, probes), have):
+                _row_products(f, probes, out)
+            for block in (pair, pair[::-1]):
+                est.update_block(*block)
+                ref.update_block(*block)
+        _assert_same_bits(have, want)  # the sign of a zero sum included
+        _assert_same_bits(est.numerator, ref.sums[0].value())
+        if normalized:
+            _assert_same_bits(est.denominator, ref.sums[1].value())
+
+    @pytest.mark.parametrize("mode", [UNNORMALIZED, NORMALIZED])
+    def test_scratch_is_one_chunk_not_a_product(self, peak_bytes, mode):
+        n, k = 50_000, 64
+        probes, _ = sample_probe_block(rademacher(), n, RngState(0), k)
+        aprobes = 1.5 * probes
+        est = DiagonalEstimate(n, mode)
+        _, peak = peak_bytes(lambda: est.update_block(probes, aprobes))
+        factors = 2 if mode == NORMALIZED else 1
+        # one chunk of rows and a few length-n vectors per factor (the sums and
+        # the TwoSum's temporaries), where an (n, k) product takes 25.6 MB
+        assert peak <= 8 * operators._APPLY_ELEMENTS + 5 * factors * 8 * n
 
 
 class TestDgsm:

@@ -451,6 +451,19 @@ def test_sparse_load_memory_is_a_small_multiple_of_the_stored_operator(tmp_path,
     assert peak <= 3 * stored, (peak, stored)
 
 
+def test_symmetric_array_load_memory_is_the_matrix_and_its_values(tmp_path, peak_bytes):
+    # the upper-triangle index arrays that filled the matrix took as much again
+    n = 600
+    values = np.random.default_rng(1).standard_normal(n * (n + 1) // 2)
+    lines = ["%%MatrixMarket matrix array real symmetric", f"{n} {n}", *map(repr, values.tolist())]
+    path = _write(tmp_path, "\n".join(lines) + "\n")
+    op, peak = peak_bytes(lambda: load_matrix_market(path))
+    m, upper = np.zeros((n, n)), np.triu_indices(n)  # the fill it replaced
+    m[upper] = m.T[upper] = values
+    assert op.to_dense().tobytes() == m.tobytes()
+    assert peak <= m.nbytes + values.nbytes + 2**20, (peak, m.nbytes)
+
+
 # --- differential test against the line-by-line loader this module replaced ---
 
 def _reference_data_lines(lines, start):

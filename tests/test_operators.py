@@ -322,6 +322,18 @@ class TestNonFiniteDense:
         with pytest.raises(ValueError, match="finite"):
             DenseSymmetric.from_dense(m)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("at", [(299, 299), (299, 3), (3, 299)], ids=["diagonal", "lower", "upper"])
+    def test_from_dense_rejects_past_the_first_chunk(self, bad, at):
+        m = np.eye(300)  # 218 rows a chunk, so row 299 and column 299 lie in the second
+        m[at] = bad
+        with pytest.raises(ValueError, match="finite"):
+            DenseSymmetric.from_dense(m)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(operators, "_APPLY_ELEMENTS", 1)  # a row a chunk
+            with pytest.raises(ValueError, match="finite"):
+                DenseSymmetric.from_dense(m)
+
 
 def _split_coo(m, rng):
     """Lower-triangle entries of ``m`` in shuffled order, each split in two."""
@@ -565,8 +577,8 @@ class TestRowSums:
 
     @pytest.mark.parametrize("rows_per_block", [1, 4, 5, 30])
     def test_dense_row_blocks_equal_one_reduction(self, monkeypatch, rows_per_block):
-        monkeypatch.setattr(probes, "_BLOCK_VECTORS", rows_per_block)
         m = np.random.default_rng(rows_per_block).standard_normal((21, 21))
+        monkeypatch.setattr(operators, "_APPLY_ELEMENTS", rows_per_block * 21)
         m = m + m.T
         whole = np.abs(m)
         np.fill_diagonal(whole, 0.0)
@@ -577,7 +589,8 @@ class TestRowSums:
         op = DenseSymmetric.from_dense(m + m.T)
         del m
         _, peak = peak_bytes(op.row_sums)
-        assert peak < 0.6 * 2048 * 2048 * 8  # the matrix's bytes
+        # one chunk of rows and the three length-n results; blocks of 1024 rows took 16.8 MB
+        assert peak <= 8 * operators._APPLY_ELEMENTS + 4 * 8 * 2048
 
     @pytest.mark.parametrize("make", [
         lambda n: make_test_matrix("rank1", n, 0.1),
@@ -603,6 +616,81 @@ class TestRowSums:
         else:  # every other row_sums reduces what the operator knows
             sums, peak = peak_bytes(op.row_sums)
             assert peak < 2**20 and all(a.shape == (DENSE_LIMIT + 1,) for a in sums)
+
+
+def _parent_from_dense(m):
+    """What ``from_dense`` stored before it walked row chunks, or the first asymmetric pair."""
+    scale = float(np.max(np.abs(m))) if m.size else 0.0
+    with np.errstate(over="ignore"):
+        bad = np.argwhere(np.abs(m - m.T) > 1e-12 * max(scale, 1e-300))
+    if bad.size:
+        return tuple(int(v) for v in bad[0])
+    bits = m.view(np.uint64)
+    return np.where(bits == bits.T, m, 0.5 * m + 0.5 * m.T)
+
+
+def _parent_row_sums(m):
+    """The off-diagonal sums of ``DenseSymmetric.row_sums`` before it walked row chunks."""
+    n = m.shape[0]
+    buf, off2, off_abs, lo = np.empty((next(probes._block_counts(n, n)), n)), np.empty(n), np.empty(n), 0
+    for count in probes._block_counts(n, n):
+        rows = np.abs(m[lo : lo + count], out=buf[:count])
+        rows[np.arange(count), np.arange(lo, lo + count)] = 0.0
+        off_abs[lo : lo + count] = rows.sum(axis=1)
+        off2[lo : lo + count] = np.einsum("ij,ij->i", rows, rows)
+        lo += count
+    return off2, off_abs
+
+
+@st.composite
+def _nearly_symmetric(draw):
+    """An n x n array, n 1-150, C- or F-ordered, symmetric up to a few ulps on some pairs.
+
+    It holds zeros of either sign and subnormals, and sometimes one pair far apart.
+    """
+    n = draw(st.integers(1, 150))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-8, 9, (n, n))
+    m[rng.random((n, n)) < 0.05] = 5e-324
+    zeros = rng.random((n, n)) < 0.3
+    m[zeros] = np.copysign(0.0, rng.random(zeros.sum()) - 0.5)
+    m = np.tril(m) + np.tril(m, -1).T
+    nudged = rng.random((n, n)) < 0.1  # a few ulps, well inside the 1e-12 tolerance
+    m[nudged] = np.nextafter(m[nudged], rng.choice([-np.inf, np.inf], nudged.sum()))
+    if draw(st.booleans()):
+        m[draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))] += 1e-3 * (1.0 + np.max(np.abs(m)))
+    return np.asfortranarray(m) if draw(st.booleans()) else m
+
+
+class TestDenseRowChunks:
+    """Symmetrization and row sums walk chunks of rows and keep the bits of whole-matrix passes."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(m=_nearly_symmetric(), budget=st.sampled_from([1, 3, 64, operators._APPLY_ELEMENTS]))
+    def test_equal_whole_matrix_passes(self, m, budget):
+        want = _parent_from_dense(m)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(operators, "_APPLY_ELEMENTS", budget)
+            if isinstance(want, tuple):  # the first asymmetric pair in row-major order
+                with pytest.raises(AsymmetricMatrixError) as err:
+                    DenseSymmetric.from_dense(m)
+                assert (err.value.i, err.value.j) == want
+                return
+            op = DenseSymmetric.from_dense(m)
+            sums = op.row_sums()
+        assert op._matrix.flags.c_contiguous and _same_bits(op._matrix, want)
+        assert _same_bits(sums[0], np.diag(want).copy())
+        assert all(_same_bits(have, ref) for have, ref in zip(sums[1:], _parent_row_sums(want)))
+
+    def test_from_dense_scratch_is_a_few_chunks(self, peak_bytes):
+        n = 2000
+        m = np.random.default_rng(5).standard_normal((n, n))
+        m = m + m.T
+        m[3, 5] = np.nextafter(m[3, 5], np.inf)  # one pair to average
+        op, peak = peak_bytes(lambda: DenseSymmetric.from_dense(m))
+        # the stored copy and a few chunks of rows; whole-matrix passes took 2.1x the matrix
+        assert peak <= m.nbytes + 8 * 8 * operators._APPLY_ELEMENTS
+        assert op._matrix[3, 5] == op._matrix[5, 3] == 0.5 * m[3, 5] + 0.5 * m[5, 3]
 
 
 class TestOperatorProtocol:

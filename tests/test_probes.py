@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from closed_forms import fourth_moment
-from diagmc import probes
+from diagmc import estimators, probes
+from diagmc.estimators import estimate_diagonal
+from diagmc.operators import MatrixFreeOperator
 from diagmc.probes import (
     STREAM_FORMAT,
     _block_counts,
@@ -189,8 +191,14 @@ def _overlapping_block(spec, n, state, count):
     return sliding_window_view(stream[:, 0], n)[::per_word].T, state.advance(count)
 
 
+def _rereading_block(spec, n, state, count):
+    """A planted defect: the next block starts at the last probe of this one."""
+    return sample_probe_block(spec, n, state, count)[0], state.advance(count - 1)
+
+
 class TestIndependence:
-    """Probe k and probe k + 1 are independent, within a block and across calls.
+    """Probe k and probe k + 1 are independent: within a block, across calls, across the
+    block splits of one estimate, and as the first probes of neighbouring replicates.
 
     The statistic is the largest entry of the lag-1 cross-covariance
     C = (1/K) sum_k w_k w_(k+1)^T over K consecutive pairs.  Under independence
@@ -201,7 +209,8 @@ class TestIndependence:
     the n^2 entries a threshold tau = c sqrt(2 ln(2 n^2 / ALPHA) / K) fails an
     independent stream with probability at most ALPHA per check.  At n = 100 and
     K = 4,096, tau is 0.108 (Rademacher) and 0.323 (sparse:3); the stream reads
-    0.061 and 0.070, and the overlapping sampler 1.0 and 1.02.
+    0.061 and 0.070, and the overlapping sampler 1.0 and 1.02.  The same bound holds
+    for probe 0 of replicates r and r + 1, whose derived seeds key separate streams.
     """
 
     N, K, ALPHA = 100, 4096, 1e-6
@@ -225,6 +234,22 @@ class TestIndependence:
         first, state = sample(spec, cls.N, RngState(0), cls.K // 2 + 1)
         return np.hstack([first, sample(spec, cls.N, state, cls.K // 2)[0]])
 
+    @classmethod
+    def _across_block_splits(cls, sample, spec):
+        # one estimate of K + 1 probes in blocks of one, so every pair straddles a
+        # split of the block loop; the identity operator hands back each block drawn
+        blocks = []
+        op = MatrixFreeOperator(cls.N, lambda mat: blocks.append(mat.copy()) or mat)
+        with patch.object(probes, "_BLOCK_VECTORS", 1), patch.object(estimators, "sample_probe_block", sample):
+            estimate_diagonal(op, spec, cls.K + 1, 0)
+        return np.hstack(blocks)
+
+    @classmethod
+    def _replicate_neighbours(cls, seed_of, spec):
+        # probe 0 of replicates 0..K of one experiment cell, each under its own seed
+        return np.hstack([sample_probe_block(spec, cls.N, RngState(seed_of(r)), 1)[0]
+                          for r in range(cls.K + 1)])
+
     @pytest.mark.parametrize("spec,c", FAMILIES, ids=IDS)
     @pytest.mark.parametrize("read", ["_one_block", "_two_calls"])
     def test_lag_one_cross_covariance_is_small(self, spec, c, read):
@@ -236,6 +261,25 @@ class TestIndependence:
         stream = getattr(self, read)(_overlapping_block, spec)
         assert stream.shape == (self.N, self.K + 1)
         assert not self._independent(stream, c)
+
+    @pytest.mark.parametrize("spec,c", FAMILIES, ids=IDS)
+    def test_pairs_across_block_splits(self, spec, c):
+        assert self._independent(self._across_block_splits(sample_probe_block, spec), c)
+
+    @pytest.mark.parametrize("spec,c", FAMILIES, ids=IDS)
+    def test_a_split_that_rereads_a_probe_is_caught(self, spec, c):
+        stream = self._across_block_splits(_rereading_block, spec)
+        assert stream.shape == (self.N, self.K + 1)
+        assert not self._independent(stream, c)
+
+    @pytest.mark.parametrize("spec,c", FAMILIES, ids=IDS)
+    def test_first_probes_of_neighbouring_replicates(self, spec, c):
+        # the cell seed of harness._run_cells: experiment 1, indices (0, 0, 0), replicate r
+        assert self._independent(self._replicate_neighbours(lambda r: derive_seed(0, 1, 0, 0, 0, r), spec), c)
+
+    @pytest.mark.parametrize("spec,c", FAMILIES, ids=IDS)
+    def test_seeds_that_ignore_the_replicate_are_caught(self, spec, c):
+        assert not self._independent(self._replicate_neighbours(lambda r: derive_seed(0, 1, 0, 0, 0), spec), c)
 
 
 class TestUniform:
