@@ -31,7 +31,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .operators import SymmetricOperator, _check_index, _chunk_rows
+from .operators import SymmetricOperator, _check_index, _chunk_rows, _split
 from .probes import (
     EstimatorSpec,
     RngState,
@@ -64,12 +64,22 @@ class DegenerateProbeError(RuntimeError):
     """A normalized-estimator denominator vanished (probability-zero event)."""
 
 
-def _two_sum(sums: np.ndarray, values: np.ndarray) -> None:
-    """Add ``values`` to ``sums = (totals, residuals)``; TwoSum keeps each exact rounding error."""
-    total = sums[0] + values
-    back = total - sums[0]
-    sums[1] += (sums[0] - (total - back)) + (values - back)
-    sums[0] = total
+def _two_sum(sums: np.ndarray, scratch: np.ndarray) -> None:
+    """Add ``values = scratch[0]`` to ``sums = (totals, residuals)``; TwoSum keeps each exact rounding error.
+
+    The other two scratch rows take the total and the back term, and ``values``
+    is used up.  The operations are those of ``residuals += (totals - (total -
+    back)) + (values - back)``, operand for operand, so the bits are too.
+    """
+    (totals, residuals), (values, total, back) = sums, scratch
+    np.add(totals, values, total)
+    np.subtract(total, totals, back)
+    np.subtract(values, back, values)
+    np.subtract(total, back, back)
+    np.subtract(totals, back, back)
+    np.add(back, values, back)
+    residuals += back
+    totals[...] = total
 
 
 def _row_products(left: np.ndarray, right: np.ndarray, out: np.ndarray) -> None:
@@ -81,10 +91,14 @@ def _row_products(left: np.ndarray, right: np.ndarray, out: np.ndarray) -> None:
     # a row-major product's rows are summed pairwise, whatever rows share the call
     n, k = left.shape
     chunk = _chunk_rows(n, k)
-    buf = np.empty((chunk, k))
-    for lo in range(0, n, chunk):
-        hi = min(n, lo + chunk)
-        np.multiply(left[lo:hi], right[lo:hi], out=buf[: hi - lo]).sum(axis=1, out=out[lo:hi])
+
+    def rows(start, stop):
+        buf = np.empty((chunk, k))
+        for lo in range(start, stop, chunk):
+            hi = min(stop, lo + chunk)
+            np.multiply(left[lo:hi], right[lo:hi], out=buf[: hi - lo]).sum(axis=1, out=out[lo:hi])
+
+    _split(n, n * k, rows)
 
 
 class DiagonalEstimate:
@@ -105,6 +119,8 @@ class DiagonalEstimate:
         self._count = 0
         # (totals, residuals) of the numerator and, when normalized, the denominator
         self._sums = np.zeros((2, 2 if mode == NORMALIZED else 1, dim))
+        # the values being added and the TwoSum's terms, reused by every update
+        self._scratch = np.empty((3, *self._sums.shape[1:]))
 
     @property
     def dim(self) -> int:
@@ -148,10 +164,9 @@ class DiagonalEstimate:
         if probes.shape != aprobes.shape or probes.ndim != 2 or probes.shape[0] != self._dim:
             raise ValueError("probe blocks must both be (n, k) arrays")
         factors = (aprobes, probes) if self._mode == NORMALIZED else (aprobes,)
-        values = np.empty((len(factors), self._dim))
-        for f, out in zip(factors, values):
+        for f, out in zip(factors, self._scratch[0]):
             _row_products(f, probes, out)
-        _two_sum(self._sums, values)
+        _two_sum(self._sums, self._scratch)
         self._count += probes.shape[1]
         return self
 
@@ -159,8 +174,9 @@ class DiagonalEstimate:
         """Fold another estimate (over a disjoint probe stream) into this one."""
         if other._mode != self._mode or other._dim != self._dim:
             raise ValueError("can only merge estimates of equal mode and dimension")
-        _two_sum(self._sums, other._sums[0])
-        _two_sum(self._sums, other._sums[1])
+        for part in other._sums:
+            self._scratch[0] = part
+            _two_sum(self._sums, self._scratch)
         self._count += other._count
         return self
 

@@ -9,8 +9,9 @@ from ``to_dense``/``row_sums``/``exact_diag``, and the test families from
 ``to_dense``.  ``to_dense`` raises it as well for n > ``DENSE_LIMIT``, before
 any n x n array is allocated.
 ``CooSymmetric``, the sparse storage, keeps jagged-diagonal slots and applies
-them to a whole (n, k) block at a time, a chunk of rows per pass; the few
-rows longer than the slots go on in a row-major overflow.
+them to a whole (n, k) block at a time, a chunk of rows per pass, and a large
+block in parts on the process's CPUs (``_split``); the few rows longer than
+the slots go on in a row-major overflow.
 
 Three parametrised test families with closed-form diagonals and row sums
 are provided:
@@ -20,7 +21,10 @@ are provided:
 * ``TridiagToeplitz``:      unit diagonal, constant off-diagonal theta
 """
 
+import bisect
 import math
+import os
+import threading
 import warnings
 from abc import ABC, abstractmethod
 from typing import Callable
@@ -52,6 +56,74 @@ _APPLY_ELEMENTS = 2**16
 def _chunk_rows(n: int, width: int) -> int:
     """Rows per chunk of an (n, width) walk: ``_APPLY_ELEMENTS`` entries, but one row at least."""
     return max(1, min(n, _APPLY_ELEMENTS // max(width, 1)))
+
+
+# The walks over disjoint rows or probe columns of a large block (the sparse
+# apply, the probe sampler and the estimators' row products) run in up to
+# _WORKERS parts, one per CPU this process may run on, at most 4: each worker
+# thread keeps a malloc arena of its own, and no gain past 2 CPUs has been
+# measured.  A part takes _SPLIT_ENTRIES block entries at least: below about
+# 2^19, handing a part to a thread costs more than it saves.
+_WORKERS = min(4, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+_SPLIT_ENTRIES = 2**19
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _forget_pool() -> None:
+    # a forked child has none of its parent's threads: it makes a pool of its own
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _parts(n: int, entries: int) -> int:
+    """How many parts :func:`_split` makes of ``range(n)`` for a block of ``entries`` entries."""
+    return max(1, min(_WORKERS, n, entries // _SPLIT_ENTRIES))
+
+
+def _split(n: int, entries: int, body: Callable[[int, int], None],
+           cost: Callable[[int], float] = None) -> None:
+    """Run ``body(lo, hi)`` over contiguous parts of ``range(n)`` that together cover it.
+
+    The parts hold equal numbers of items, or equal shares of ``cost(i)``, the
+    nondecreasing cost of the first i items.  The calling thread runs the first
+    part and a process-wide thread pool the others; a block of fewer than two
+    parts' worth of entries runs whole, in the calling thread.  Every part has
+    ended when this returns or raises, and an error raised in any part reaches
+    the caller.  A body must not call ``_split`` itself: a body running on a
+    pool thread that waited for the pool could wait for ever.  The arrays a
+    body fills are allocated by the caller, and its own scratch is a chunk or
+    a few: memory a pool thread allocates stays in that thread's malloc arena
+    once freed.
+    """
+    parts = _parts(n, entries)
+    if parts < 2:
+        body(0, n)
+        return
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor  # loaded only where a block splits
+
+            _pool = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="diagmc")
+        pool = _pool
+    if cost is None:
+        ends = [n * p // parts for p in range(parts + 1)]
+    else:
+        total = cost(n)
+        ends = [0, *(bisect.bisect_left(range(n), total * p / parts, key=cost) for p in range(1, parts)), n]
+    futures = [pool.submit(body, lo, hi) for lo, hi in zip(ends[1:-1], ends[2:])]
+    try:
+        body(0, ends[1])
+    finally:
+        for f in futures:
+            f.exception()  # waits for the part
+    for f in futures:
+        f.result()
 
 
 def _check_finite(values: np.ndarray) -> None:
@@ -314,32 +386,42 @@ class CooSymmetric(SymmetricOperator):
             return np.empty((n, 0))
         mat = np.ascontiguousarray(mat)  # one take gathers all k columns of a row
         chunk = _chunk_rows(n, k)
-        acc, gathered = np.empty((chunk, k)), np.empty((chunk, k))
-
-        def products(lo, m):  # stored values lo..lo+m times their rows of the block
-            g = gathered[:m]
-            # mode="clip" gathers straight into the buffer, where "raise" would copy
-            np.take(mat, self._cols[lo : lo + m], axis=0, out=g, mode="clip")
-            return np.multiply(self._values[lo : lo + m, None], g, out=g)
-
         out, base = np.empty((n, k)), self._slots[-1]
-        for lo in range(0, n, chunk):  # rows lo..hi of _perm
-            hi = min(n, lo + chunk)
-            a = acc[: hi - lo]
-            a.fill(0.0)
-            for slot, rows in self._slot_rows():
-                m = min(hi, rows.size) - lo
-                if m <= 0:  # the later slots are no longer
-                    break
-                np.add(a[:m], products(slot.start + lo, m), out=a[:m])
-            # overflow entries in storage order: add.at adds repeated positions in
-            # sequence, and at flat positions it runs several times faster
-            first, last = np.searchsorted(self._overflow, [lo, hi])
-            for e in range(first, last, chunk):
-                m = min(chunk, last - e)
-                at = (self._overflow[e : e + m, None] - lo) * k + np.arange(k)
-                np.add.at(a.reshape(-1), at.reshape(-1), products(base + e, m).reshape(-1))
-            out[self._perm[lo:hi]] = a
+
+        def rows(start, stop):  # rows start..stop of _perm, a chunk at a time
+            acc, gathered = np.empty((2, chunk, k))
+
+            def products(lo, m):  # stored values lo..lo+m times their rows of the block
+                g = gathered[:m]
+                # mode="clip" gathers straight into the buffer, where "raise" would copy
+                np.take(mat, self._cols[lo : lo + m], axis=0, out=g, mode="clip")
+                return np.multiply(self._values[lo : lo + m, None], g, out=g)
+
+            for lo in range(start, stop, chunk):
+                hi = min(stop, lo + chunk)
+                a = acc[: hi - lo]
+                a.fill(0.0)
+                for slot, slot_rows in self._slot_rows():
+                    m = min(hi, slot_rows.size) - lo
+                    if m <= 0:  # the later slots are no longer
+                        break
+                    np.add(a[:m], products(slot.start + lo, m), out=a[:m])
+                # overflow entries in storage order: add.at adds repeated positions in
+                # sequence, and at flat positions it runs several times faster
+                first, last = np.searchsorted(self._overflow, [lo, hi])
+                for e in range(first, last, chunk):
+                    m = min(chunk, last - e)
+                    at = (self._overflow[e : e + m, None] - lo) * k + np.arange(k)
+                    np.add.at(a.reshape(-1), at.reshape(-1), products(base + e, m).reshape(-1))
+                out[self._perm[lo:hi]] = a
+
+        sizes = np.diff(self._slots)
+
+        def cost(r):  # the stored entries of the first r rows of _perm, and one more per row
+            return int(np.minimum(sizes, r).sum()) + int(np.searchsorted(self._overflow, r)) + r
+
+        # a row's sum stays within its chunk, so the parts give the bits of one walk
+        _split(n, n * k, rows, cost)
         return out
 
     def exact_diag(self) -> np.ndarray:

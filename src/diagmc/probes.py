@@ -31,6 +31,8 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.random import Philox
 
+from .operators import _chunk_rows, _parts, _split
+
 __all__ = [
     "STREAM_FORMAT",
     "EstimatorSpec",
@@ -192,6 +194,9 @@ _BLOCK_BYTES = 2**25
 # probe of the block (so the transposed writes fill whole rows of it), or this
 # many, by as many pairs as fit.
 _TILE_PAIRS = 2**14
+# A block sampled in parts draws its words this many at a time (256 KiB; a
+# multiple of 4, so every draw starts on a Philox block).
+_DRAW_WORDS = 2**15
 
 
 def _block_counts(n: int, total: int):
@@ -307,9 +312,28 @@ def _sample_block(
     if count < 0:
         raise ValueError("count must be nonnegative")
     out = np.empty((n, count))
-    if count:
-        w = _words_per_probe(n, entries_per_word)
-        fill(out, _raw_words(state.seed, state.counter * w, count * w).reshape(count, w))
+    w = _words_per_probe(n, entries_per_word)
+    first = state.counter * w
+    if _parts(count, n * count) < 2:
+        if count:
+            fill(out, _raw_words(state.seed, first, count * w).reshape(count, w))
+        return out, state.advance(count)
+    # the part of probes lo..hi draws their words into rows lo..hi of one word
+    # array, _DRAW_WORDS at a time, and fills columns lo..hi of the block a
+    # chunk of entries at a time (a multiple of 64, where every family's words
+    # split), so that its fill scratch is a chunk too
+    words = np.empty((count, w), dtype=np.uint64)
+
+    def part(lo, hi):
+        flat = words[lo:hi].reshape(-1)
+        for at in range(0, flat.size, _DRAW_WORDS):
+            size = min(_DRAW_WORDS, flat.size - at)
+            flat[at : at + size] = _raw_words(state.seed, first + lo * w + at, size)
+        step = 64 * max(1, _chunk_rows(n, hi - lo) // 64)
+        for a in range(0, n, step):
+            fill(out[a : a + step, lo:hi], words[lo:hi, a // entries_per_word : (a + step) // entries_per_word])
+
+    _split(count, n * count, part)
     return out, state.advance(count)
 
 

@@ -1,8 +1,11 @@
 """Shared test helpers."""
 
+import contextlib
 import tracemalloc
 
 import pytest
+
+from diagmc import operators
 
 
 def _peak_bytes(fn):
@@ -18,3 +21,17 @@ def _peak_bytes(fn):
 @pytest.fixture
 def peak_bytes():
     return _peak_bytes
+
+
+@contextlib.contextmanager
+def _in_parts(workers=3, cut=1):
+    """Run every walk that splits in up to ``workers`` parts, at blocks of ``cut`` entries a part."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(operators, "_WORKERS", workers)
+        mp.setattr(operators, "_SPLIT_ENTRIES", cut)
+        yield
+
+
+@pytest.fixture(scope="session")  # session scope: hypothesis tests may take it
+def in_parts():
+    return _in_parts

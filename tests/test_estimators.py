@@ -1,5 +1,8 @@
 """Estimator tests: exactness, replay oracles, streaming, merging, DGSM."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -21,7 +24,7 @@ from diagmc.estimators import (
     normwise_relative_error,
     _row_products,
 )
-from diagmc.operators import DenseSymmetric, MatrixFreeOperator, make_test_matrix
+from diagmc.operators import CooSymmetric, DenseSymmetric, MatrixFreeOperator, make_test_matrix
 from diagmc.probes import (
     EstimatorSpec,
     RngState,
@@ -426,6 +429,27 @@ class TestRowChunks:
         if normalized:
             _assert_same_bits(est.denominator, ref.sums[1].value())
 
+    @settings(max_examples=150, deadline=None)
+    @given(pair=_laid_out_pair(), normalized=st.booleans(),
+           budget=st.sampled_from([1, 3, 64, 2**16]))
+    def test_parts_equal_one_product_per_factor(self, in_parts, pair, normalized, budget):
+        # up to three parts of rows on the row-major path, each with a buffer of its own
+        probes, aprobes = pair
+        n = probes.shape[0]
+        want = _parent_row_products(probes, aprobes, normalized)
+        est, ref = DiagonalEstimate(n, NORMALIZED if normalized else UNNORMALIZED), _ReferenceEstimate(n, normalized)
+        with in_parts(), pytest.MonkeyPatch.context() as mp:
+            mp.setattr(operators, "_APPLY_ELEMENTS", budget)
+            have = np.empty_like(want)
+            for f, out in zip((aprobes, probes), have):
+                _row_products(f, probes, out)
+            est.update_block(*pair)
+            ref.update_block(*pair)
+        _assert_same_bits(have, want)
+        _assert_same_bits(est.numerator, ref.sums[0].value())
+        if normalized:
+            _assert_same_bits(est.denominator, ref.sums[1].value())
+
     @pytest.mark.parametrize("mode", [UNNORMALIZED, NORMALIZED])
     def test_scratch_is_one_chunk_not_a_product(self, peak_bytes, mode):
         n, k = 50_000, 64
@@ -433,10 +457,41 @@ class TestRowChunks:
         aprobes = 1.5 * probes
         est = DiagonalEstimate(n, mode)
         _, peak = peak_bytes(lambda: est.update_block(probes, aprobes))
-        factors = 2 if mode == NORMALIZED else 1
-        # one chunk of rows and a few length-n vectors per factor (the sums and
-        # the TwoSum's temporaries), where an (n, k) product takes 25.6 MB
-        assert peak <= 8 * operators._APPLY_ELEMENTS + 5 * factors * 8 * n
+        # one chunk of rows per part, where an (n, k) product takes 25.6 MB; the
+        # values added and the TwoSum's terms go to scratch made with the estimate
+        assert peak <= operators._parts(n, n * k) * 8 * operators._APPLY_ELEMENTS + 2**14
+
+
+class TestThreads:
+    def test_two_threads_at_once_give_the_serial_bits(self, in_parts, monkeypatch):
+        rng = np.random.default_rng(4)
+        n = 3000
+        rows = rng.integers(0, n, 4 * n)
+        cols = (rng.random(rows.size) * (rows + 1)).astype(np.intp)
+        op = CooSymmetric(n, rows, cols, rng.standard_normal(rows.size))
+        specs = [rademacher(), sparse_rademacher(3), gaussian(), EstimatorSpec("normalized_gaussian")]
+
+        def run():
+            return [estimate_diagonal(op, spec, 40, 9).value.tobytes() for spec in specs]
+
+        monkeypatch.setattr(operators, "_WORKERS", 1)
+        want = run()
+        results, interval = [], sys.getswitchinterval()
+        # three parts each on two callers, and a short switch interval: more
+        # threads than cores, handing the interpreter over often
+        with in_parts():
+            assert operators._parts(n, n * 40) == 3
+            threads = [threading.Thread(target=lambda: results.append(run())) for _ in range(2)]
+            sys.setswitchinterval(1e-5)
+            try:
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=120)
+            finally:
+                sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [want, want]
 
 
 class TestDgsm:

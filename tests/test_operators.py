@@ -1,6 +1,10 @@
 """Operator tests: apply correctness, exact diagonals, symmetry, validation."""
 
 import math
+import multiprocessing
+import os
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -515,7 +519,33 @@ class TestSlotApply:
         op = CooSymmetric(3, rows=[2], cols=[0], values=[1.5])
         assert op.apply(np.ones((3, 0))).shape == (3, 0)
 
-    def test_block_extra_memory_is_two_chunks(self, peak_bytes):
+    @settings(max_examples=150, deadline=None)
+    @given(entries=_lower_entries(), data=st.data(), budget=st.sampled_from([1, 3, 64]),
+           slot_rows=st.sampled_from([1, 2, 3]))
+    def test_parts_equal_per_column_bincount(self, in_parts, entries, data, budget, slot_rows):
+        # up to three parts of rows, the leading ones with the longer rows and the overflow
+        n, rows, cols, values = entries
+        with in_parts(), pytest.MonkeyPatch.context() as mp:
+            mp.setattr(operators, "_SLOT_ROWS", slot_rows)
+            op = CooSymmetric(n, rows, cols, values)
+            mp.setattr(operators, "_APPLY_ELEMENTS", budget)
+            mat = data.draw(_block(n))
+            assert _same_bits(op.apply(mat), _reference_matvec(n, rows, cols, values, mat))
+
+    @pytest.mark.parametrize("budget", [64, operators._APPLY_ELEMENTS])
+    def test_arrow_rows_overflow_in_parts(self, in_parts, monkeypatch, budget):
+        n, k = 1500, 64
+        rows, cols, values = _arrow(n)
+        op = CooSymmetric(n, rows, cols, values)
+        mat = np.random.default_rng(2).standard_normal((n, k))
+        monkeypatch.setattr(operators, "_APPLY_ELEMENTS", budget)
+        with in_parts():
+            assert operators._parts(n, n * k) == 3
+            assert _same_bits(op.apply(mat), _reference_matvec(n, rows, cols, values, mat))
+
+    @staticmethod
+    def _spread_block():
+        # n = 5*10^4 rows of about 9 entries, and a block of 64 Rademacher probes
         n, per_row = 50_000, 4
         rng = np.random.default_rng(0)
         i = np.repeat(np.arange(1, n), per_row)
@@ -523,9 +553,76 @@ class TestSlotApply:
         d = np.arange(n)
         op = CooSymmetric(n, np.concatenate([d, i]), np.concatenate([d, j]),
                           np.concatenate([1.0 + rng.random(n), rng.uniform(-0.1, 0.1, i.size)]))
-        block, _ = probes.sample_probe_block(probes.rademacher(), n, probes.RngState(0), 64)
+        return op, probes.sample_probe_block(probes.rademacher(), n, probes.RngState(0), 64)[0]
+
+    def test_block_extra_memory_is_two_chunks(self, peak_bytes, monkeypatch):
+        op, block = self._spread_block()
+        monkeypatch.setattr(operators, "_WORKERS", 1)  # one walk
         out, peak = peak_bytes(lambda: op.apply(block))
         assert peak <= out.nbytes + 2 * 2**20
+
+    def test_parts_extra_memory_is_three_chunks_each(self, peak_bytes, monkeypatch):
+        op, block = self._spread_block()
+        monkeypatch.setattr(operators, "_WORKERS", 3)
+        assert operators._parts(block.shape[0], block.size) == 3
+        out, peak = peak_bytes(lambda: op.apply(block))
+        # per part: its chunk pair and at most a chunk of overflow positions
+        assert peak <= out.nbytes + 3 * 3 * 8 * operators._APPLY_ELEMENTS + 2**16
+
+
+class TestSplit:
+    """``_split`` runs its parts on the calling thread and the pool, and keeps no error back."""
+
+    def test_small_blocks_run_whole_on_the_calling_thread(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(operators, "_WORKERS", 3)
+        operators._split(100, 2 * operators._SPLIT_ENTRIES - 1, lambda lo, hi: calls.append(
+            (lo, hi, threading.get_ident())))
+        assert calls == [(0, 100, threading.get_ident())]
+
+    @pytest.mark.parametrize("cost,ends", [(None, [0, 3, 6, 10]), (lambda i: i * i, [0, 6, 9, 10])])
+    def test_parts_cover_the_range(self, in_parts, cost, ends):
+        # a cost of i^2 for the first i items puts 33.3 and 66.7 at items 6 and 9
+        calls = []
+        with in_parts():
+            operators._split(10, 10, lambda lo, hi: calls.append((lo, hi)), cost)
+        assert sorted(calls) == list(zip(ends[:-1], ends[1:]))
+
+    @pytest.mark.parametrize("failing", [0, 1, 2])
+    def test_an_error_reaches_the_caller_after_every_part(self, in_parts, failing):
+        ended = []
+
+        def body(lo, hi):
+            if lo == failing:
+                raise ValueError(f"part {lo}")
+            time.sleep(0.2)
+            ended.append(lo)
+
+        with in_parts(), pytest.raises(ValueError, match=f"^part {failing}$"):
+            operators._split(3, 3, body)
+        assert sorted(ended) == sorted({0, 1, 2} - {failing})
+
+    @pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="no fork on this platform")
+    @pytest.mark.filterwarnings("ignore:This process:DeprecationWarning")  # fork with the pool's threads alive
+    def test_a_forked_child_applies_in_parts(self, in_parts):
+        n, k = 1500, 64
+        op = CooSymmetric(n, *_arrow(n))
+        mat = np.random.default_rng(5).standard_normal((n, k))
+        with in_parts():
+            want = op.apply(mat)  # the parent's pool has threads now
+
+            def child():
+                # the parent's pool threads do not exist here: a pool kept across
+                # the fork would take the parts and never run them
+                assert _same_bits(op.apply(mat), want)
+
+            proc = multiprocessing.get_context("fork").Process(target=child)
+            proc.start()
+            proc.join(timeout=60)
+        if proc.is_alive():
+            proc.kill()
+            proc.join()
+        assert proc.exitcode == 0
 
 
 class TestRowSums:

@@ -276,6 +276,13 @@ def test_output_matches_manifest(manifest, inputs, monkeypatch, name):
         assert (_sha(text), len(text.encode())) == (entry["sha256"], entry["bytes"]), text[:2000]
 
 
+@pytest.mark.parametrize("name", [name for name in COMMANDS if name.startswith("estimate-")])
+def test_estimates_in_parts_match_manifest(manifest, inputs, monkeypatch, in_parts, name):
+    # every walk that can split runs in three parts, down to a block of three entries
+    with in_parts():
+        test_output_matches_manifest(manifest, inputs, monkeypatch, name)
+
+
 def test_layouts_load_the_same_matrix(manifest):
     outputs = manifest["outputs"]
     for layout in ("general", "array", "general-array"):

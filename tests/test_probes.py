@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from closed_forms import fourth_moment
-from diagmc import estimators, probes
+from diagmc import estimators, operators, probes
 from diagmc.estimators import estimate_diagonal
 from diagmc.operators import MatrixFreeOperator
 from diagmc.probes import (
@@ -169,6 +169,25 @@ class TestDeterminism:
             single, _ = sample_probe_block(dist, n, RngState(7, start + j), 1)
             assert np.array_equal(block[:, j], single[:, 0])
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 130),
+        start=st.integers(0, 50),
+        count=st.integers(2, 20),
+        kind=st.sampled_from(["rademacher", "sparse", "gaussian", "uniform"]),
+        draw=st.sampled_from([4, 12, probes._DRAW_WORDS]),
+        budget=st.sampled_from([1, operators._APPLY_ELEMENTS]),
+    )
+    def test_block_in_parts_matches_single_draws(self, in_parts, n, start, count, kind, draw, budget):
+        # up to three parts of probes, each drawing its words ``draw`` at a time and
+        # filling 64 entries at a time at budget 1
+        with in_parts(), patch.object(probes, "_DRAW_WORDS", draw), \
+                patch.object(operators, "_APPLY_ELEMENTS", budget):
+            block = _live_block(kind, n, RngState(7, start), count, s=3.0)
+        for j in range(count):
+            single = _live_block(kind, n, RngState(7, start + j), 1, s=3.0)
+            assert block[:, j].tobytes() == single[:, 0].tobytes()
+
     def test_disjoint_counters_uncorrelated(self):
         a, _ = sample_probe_block(gaussian(), 100, RngState(5, 0), 1000)
         b, _ = sample_probe_block(gaussian(), 100, RngState(5, 1000), 1000)
@@ -245,6 +264,17 @@ class TestIndependence:
         return np.hstack(blocks)
 
     @classmethod
+    def _across_worker_splits(cls, in_parts, spec, raw_words=probes._raw_words):
+        # one estimate of K + 1 probes in blocks of two, each drawn in two parts of
+        # one probe, so every pair straddles a worker split or a block split
+        blocks = []
+        op = MatrixFreeOperator(cls.N, lambda mat: blocks.append(mat.copy()) or mat)
+        with in_parts(workers=2), patch.object(probes, "_BLOCK_VECTORS", 2), \
+                patch.object(probes, "_raw_words", raw_words):
+            estimate_diagonal(op, spec, cls.K + 1, 0)
+        return np.hstack(blocks)
+
+    @classmethod
     def _replicate_neighbours(cls, seed_of, spec):
         # probe 0 of replicates 0..K of one experiment cell, each under its own seed
         return np.hstack([sample_probe_block(spec, cls.N, RngState(seed_of(r)), 1)[0]
@@ -269,6 +299,24 @@ class TestIndependence:
     @pytest.mark.parametrize("spec,c", FAMILIES, ids=IDS)
     def test_a_split_that_rereads_a_probe_is_caught(self, spec, c):
         stream = self._across_block_splits(_rereading_block, spec)
+        assert stream.shape == (self.N, self.K + 1)
+        assert not self._independent(stream, c)
+
+    @pytest.mark.parametrize("spec,c", FAMILIES, ids=IDS)
+    def test_pairs_across_worker_splits(self, in_parts, spec, c):
+        assert self._independent(self._across_worker_splits(in_parts, spec), c)
+
+    @pytest.mark.parametrize("spec,c", FAMILIES, ids=IDS)
+    def test_a_part_that_rereads_its_neighbour_is_caught(self, in_parts, spec, c):
+        # the planted defect: the second part of each block draws from the first
+        # part's probe, whose window starts w words earlier
+        w = probes._words_per_probe(self.N, 64 if spec.sparsity == 1.0 else 1)
+        raw = probes._raw_words
+
+        def rereading(seed, first, count):
+            return raw(seed, first - w if first // w % 2 else first, count)
+
+        stream = self._across_worker_splits(in_parts, spec, rereading)
         assert stream.shape == (self.N, self.K + 1)
         assert not self._independent(stream, c)
 
@@ -590,3 +638,17 @@ def test_block_peak_memory(peak_bytes, kind):
     block, peak = peak_bytes(lambda: _live_block(kind, 50_000, RngState(3), 64, s=3.0))
     assert block.shape == (50_000, 64)
     assert peak <= (1.25 if kind == "rademacher" else 2.5) * block.nbytes
+
+
+@pytest.mark.parametrize("draw,fits", [(probes._DRAW_WORDS, True), (2**40, False)], ids=["chunks", "whole-share"])
+def test_parts_draw_their_words_a_chunk_at_a_time(peak_bytes, monkeypatch, draw, fits):
+    # three parts of (5*10^4, 64) uniform vectors, which fill in place: beyond the block
+    # and the word array, each part holds one draw of 2^15 words at most.  The variant
+    # in which each part allocates its whole share of the words (a third of them) is caught.
+    monkeypatch.setattr(operators, "_WORKERS", 3)
+    monkeypatch.setattr(probes, "_DRAW_WORDS", draw)
+    n, count = 50_000, 64
+    assert operators._parts(count, n * count) == 3
+    words = count * probes._words_per_probe(n) * 8
+    block, peak = peak_bytes(lambda: sample_uniform_block(n, RngState(3), count)[0])
+    assert (peak <= block.nbytes + words + 3 * 8 * 2**15 + 2**14) == fits
