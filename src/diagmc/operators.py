@@ -60,11 +60,12 @@ def _chunk_rows(n: int, width: int) -> int:
 
 # The walks over disjoint rows or probe columns of a large block (the sparse
 # apply, the probe sampler and the estimators' row products) run in up to
-# _WORKERS parts, one per CPU this process may run on, at most 4: each worker
-# thread keeps a malloc arena of its own, and no gain past 2 CPUs has been
-# measured.  A part takes _SPLIT_ENTRIES block entries at least: below about
-# 2^19, handing a part to a thread costs more than it saves.
-_WORKERS = min(4, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+# _WORKERS parts, one per CPU this process may run on, at most 2: the gain
+# and the memory (each pool thread keeps a malloc arena of its own) have been
+# measured with one pool thread only.  A part takes _SPLIT_ENTRIES block
+# entries at least: below about 2^19, handing a part to a thread costs more
+# than it saves.
+_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 _SPLIT_ENTRIES = 2**19
 _pool = None
 _pool_lock = threading.Lock()
@@ -94,7 +95,8 @@ def _split(n: int, entries: int, body: Callable[[int, int], None],
     part and a process-wide thread pool the others; a block of fewer than two
     parts' worth of entries runs whole, in the calling thread.  Every part has
     ended when this returns or raises, and an error raised in any part reaches
-    the caller.  A body must not call ``_split`` itself: a body running on a
+    the caller.  Every part runs under the caller's numpy error state, which
+    pool threads do not inherit.  A body must not call ``_split`` itself: a body running on a
     pool thread that waited for the pool could wait for ever.  The arrays a
     body fills are allocated by the caller, and its own scratch is a chunk or
     a few: memory a pool thread allocates stays in that thread's malloc arena
@@ -116,7 +118,13 @@ def _split(n: int, entries: int, body: Callable[[int, int], None],
     else:
         total = cost(n)
         ends = [0, *(bisect.bisect_left(range(n), total * p / parts, key=cost) for p in range(1, parts)), n]
-    futures = [pool.submit(body, lo, hi) for lo, hi in zip(ends[1:-1], ends[2:])]
+    err, call = np.geterr(), np.geterrcall()
+
+    def run(lo, hi):
+        with np.errstate(call=call, **err):
+            body(lo, hi)
+
+    futures = [pool.submit(run, lo, hi) for lo, hi in zip(ends[1:-1], ends[2:])]
     try:
         body(0, ends[1])
     finally:

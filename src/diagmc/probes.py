@@ -314,6 +314,9 @@ def _sample_block(
     out = np.empty((n, count))
     w = _words_per_probe(n, entries_per_word)
     first = state.counter * w
+    # one part draws and fills its block whole: through the part path below, a
+    # Gaussian (100, 1) block took 61 us where this takes 38, and a (100, 1024)
+    # block of any family 8-30% longer (2-CPU Xeon), in the paper's many short calls
     if _parts(count, n * count) < 2:
         if count:
             fill(out, _raw_words(state.seed, first, count * w).reshape(count, w))

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -168,6 +169,16 @@ class TestNormalizedErrorLaw:
             estimate_diagonal(op, rademacher(), 4, 0)
         with pytest.raises(ValueError, match=message + r"\[0, 12\)"):
             replicate_component_errors(op, 0, rademacher(), 4, 3, 0)
+
+    def test_overflowing_sum_rejected_in_parts(self, in_parts):
+        # the row products of the estimate run in three parts, on pool threads; at
+        # 1e308 I every row's sum of four products overflows
+        with in_parts(), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self.test_overflowing_sum_rejected()
+            op = DenseSymmetric.from_dense(np.diag(np.full(3, 1e308)))
+            with pytest.raises(ValueError, match=r"non-finite matvec or gradient values at probe counters \[0, 4\)"):
+                estimate_diagonal(op, rademacher(), 4, 0)
 
     @pytest.mark.parametrize("row, match", [
         ([1.0, 1e200, 1e200], "squared off-diagonal mass of component 0 overflows"),

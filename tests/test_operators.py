@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from closed_forms import dense, entries, family_constants
 from diagmc import operators, probes
+from diagmc.estimators import estimate_diagonal
 from diagmc.operators import (
     DENSE_LIMIT,
     AsymmetricMatrixError,
@@ -601,6 +602,32 @@ class TestSplit:
         with in_parts(), pytest.raises(ValueError, match=f"^part {failing}$"):
             operators._split(3, 3, body)
         assert sorted(ended) == sorted({0, 1, 2} - {failing})
+
+    def test_parts_run_under_the_callers_error_state(self, in_parts):
+        # pool threads start from numpy's default error state, where inf - inf warns
+        seen = []
+
+        def body(lo, hi):
+            seen.append(np.geterr())
+            np.subtract(np.full(hi - lo, np.inf), np.inf)
+
+        with in_parts(), warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
+            warnings.simplefilter("error")
+            want = np.geterr()
+            operators._split(3, 3, body)
+        assert seen == [want] * 3
+
+    def test_overflowing_slot_sums_rejected_in_parts(self, in_parts, monkeypatch):
+        # entries of 1e308 on three diagonals: a row's slot sums overflow, in every
+        # part, and the estimate refuses the block as it does in one walk
+        n = 30
+        i = np.arange(n)
+        op = CooSymmetric(n, np.concatenate([i, i[1:]]), np.concatenate([i, i[:-1]]), np.full(2 * n - 1, 1e308))
+        message = r"^non-finite matvec or gradient values at probe counters \[0, 4\)$"
+        for workers in (1, 3):
+            with in_parts(workers), warnings.catch_warnings(), pytest.raises(ValueError, match=message):
+                warnings.simplefilter("error")
+                estimate_diagonal(op, probes.rademacher(), 4, 0)
 
     @pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="no fork on this platform")
     @pytest.mark.filterwarnings("ignore:This process:DeprecationWarning")  # fork with the pool's threads alive
