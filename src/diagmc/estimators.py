@@ -31,7 +31,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .operators import SymmetricOperator, _check_index, _chunk_rows, _split
+from .operators import SymmetricOperator, _check_index, _chunk_rows, _chunks, _split
 from .probes import (
     EstimatorSpec,
     RngState,
@@ -92,13 +92,12 @@ def _row_products(left: np.ndarray, right: np.ndarray, out: np.ndarray) -> None:
     n, k = left.shape
     chunk = _chunk_rows(n, k)
 
-    def rows(start, stop):
+    def rows(pieces):
         buf = np.empty((chunk, k))
-        for lo in range(start, stop, chunk):
-            hi = min(stop, lo + chunk)
+        for lo, hi in _chunks(pieces, chunk):
             np.multiply(left[lo:hi], right[lo:hi], out=buf[: hi - lo]).sum(axis=1, out=out[lo:hi])
 
-    _split(n, n * k, rows)
+    _split(n, n * k, rows, align=chunk)
 
 
 class DiagonalEstimate:

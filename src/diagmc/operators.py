@@ -27,7 +27,7 @@ import os
 import threading
 import warnings
 from abc import ABC, abstractmethod
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -59,12 +59,14 @@ def _chunk_rows(n: int, width: int) -> int:
 
 
 # The walks over disjoint rows or probe columns of a large block (the sparse
-# apply, the probe sampler and the estimators' row products) run in up to
-# _WORKERS parts, one per CPU this process may run on, at most 2: the gain
+# apply, the probe sampler and the estimators' row products) run on up to
+# _WORKERS threads, one per CPU this process may run on, at most 2: the gain
 # and the memory (each pool thread keeps a malloc arena of its own) have been
-# measured with one pool thread only.  A part takes _SPLIT_ENTRIES block
-# entries at least: below about 2^19, handing a part to a thread costs more
-# than it saves.
+# measured with one pool thread only.  A thread takes _SPLIT_ENTRIES block
+# entries at least: below about 2^19, handing work to a thread costs more than
+# it saves.  The threads take pieces of about half that from one queue, so a
+# thread that starts late or runs slow (its CPU busy elsewhere) walks less of
+# the block, where a fixed part each would keep the caller waiting for it.
 _WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 _SPLIT_ENTRIES = 2**19
 _pool = None
@@ -82,29 +84,32 @@ if hasattr(os, "register_at_fork"):
 
 
 def _parts(n: int, entries: int) -> int:
-    """How many parts :func:`_split` makes of ``range(n)`` for a block of ``entries`` entries."""
+    """How many threads :func:`_split` walks ``range(n)`` on, for a block of ``entries`` entries."""
     return max(1, min(_WORKERS, n, entries // _SPLIT_ENTRIES))
 
 
-def _split(n: int, entries: int, body: Callable[[int, int], None],
-           cost: Callable[[int], float] = None) -> None:
-    """Run ``body(lo, hi)`` over contiguous parts of ``range(n)`` that together cover it.
+def _split(n: int, entries: int, body: Callable[[Iterator[tuple[int, int]]], None],
+           cost: Callable[[int], float] = None, align: int = 1) -> None:
+    """Run ``body(pieces)`` on :func:`_parts` threads, over contiguous pieces that cover ``range(n)``.
 
-    The parts hold equal numbers of items, or equal shares of ``cost(i)``, the
-    nondecreasing cost of the first i items.  The calling thread runs the first
-    part and a process-wide thread pool the others; a block of fewer than two
-    parts' worth of entries runs whole, in the calling thread.  Every part has
-    ended when this returns or raises, and an error raised in any part reaches
-    the caller.  Every part runs under the caller's numpy error state, which
-    pool threads do not inherit.  A body must not call ``_split`` itself: a body running on a
-    pool thread that waited for the pool could wait for ever.  The arrays a
-    body fills are allocated by the caller, and its own scratch is a chunk or
-    a few: memory a pool thread allocates stays in that thread's malloc arena
-    once freed.
+    Each thread's ``pieces`` yields ``(lo, hi)`` pairs from one shared queue
+    until it is empty, so every piece is walked once, by whichever thread is
+    free, and a body keeps its scratch across its pieces.  The pieces hold
+    equal numbers of items, or equal shares of ``cost(i)``, the nondecreasing
+    cost of the first i items, and start at multiples of ``align``.  The
+    calling thread runs one body and a process-wide thread pool the others; a
+    block of fewer than two threads' worth of entries is one piece, walked by
+    the calling thread.  Every body has ended when this returns or raises,
+    and an error raised in any body reaches the caller.  Every body runs under
+    the caller's numpy error state, which pool threads do not inherit.  A body
+    must not call ``_split`` itself: a body running on a pool thread that
+    waited for the pool could wait for ever.  The arrays a body fills are
+    allocated by the caller, and its own scratch is a chunk or a few: memory a
+    pool thread allocates stays in that thread's malloc arena once freed.
     """
     parts = _parts(n, entries)
     if parts < 2:
-        body(0, n)
+        body(iter([(0, n)]))
         return
     global _pool
     with _pool_lock:
@@ -113,25 +118,44 @@ def _split(n: int, entries: int, body: Callable[[int, int], None],
 
             _pool = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="diagmc")
         pool = _pool
+    pieces = min(n, max(parts, 2 * entries // _SPLIT_ENTRIES))
     if cost is None:
-        ends = [n * p // parts for p in range(parts + 1)]
+        ends = [n * p // pieces for p in range(pieces + 1)]
     else:
         total = cost(n)
-        ends = [0, *(bisect.bisect_left(range(n), total * p / parts, key=cost) for p in range(1, parts)), n]
+        ends = [0, *(bisect.bisect_left(range(n), total * p / pieces, key=cost) for p in range(1, pieces)), n]
+    ends = sorted({min(n, -(-e // align) * align) for e in ends})
+    queue, lock = iter(list(zip(ends[:-1], ends[1:]))), threading.Lock()
+
+    def take():
+        while True:
+            with lock:
+                piece = next(queue, None)
+            if piece is None:
+                return
+            yield piece
+
     err, call = np.geterr(), np.geterrcall()
 
-    def run(lo, hi):
+    def run():
         with np.errstate(call=call, **err):
-            body(lo, hi)
+            body(take())
 
-    futures = [pool.submit(run, lo, hi) for lo, hi in zip(ends[1:-1], ends[2:])]
+    futures = [pool.submit(run) for _ in range(parts - 1)]
     try:
-        body(0, ends[1])
+        body(take())
     finally:
         for f in futures:
-            f.exception()  # waits for the part
+            f.exception()  # waits for the body
     for f in futures:
         f.result()
+
+
+def _chunks(pieces: Iterator[tuple[int, int]], size: int) -> Iterator[tuple[int, int]]:
+    """The ``(lo, hi)`` runs of at most ``size`` items that the ``(start, stop)`` pieces cut into."""
+    for start, stop in pieces:
+        for lo in range(start, stop, size):
+            yield lo, min(stop, lo + size)
 
 
 def _check_finite(values: np.ndarray) -> None:
@@ -396,7 +420,7 @@ class CooSymmetric(SymmetricOperator):
         chunk = _chunk_rows(n, k)
         out, base = np.empty((n, k)), self._slots[-1]
 
-        def rows(start, stop):  # rows start..stop of _perm, a chunk at a time
+        def rows(pieces):  # pieces of rows of _perm, a chunk at a time
             acc, gathered = np.empty((2, chunk, k))
 
             def products(lo, m):  # stored values lo..lo+m times their rows of the block
@@ -405,8 +429,7 @@ class CooSymmetric(SymmetricOperator):
                 np.take(mat, self._cols[lo : lo + m], axis=0, out=g, mode="clip")
                 return np.multiply(self._values[lo : lo + m, None], g, out=g)
 
-            for lo in range(start, stop, chunk):
-                hi = min(stop, lo + chunk)
+            for lo, hi in _chunks(pieces, chunk):
                 a = acc[: hi - lo]
                 a.fill(0.0)
                 for slot, slot_rows in self._slot_rows():
@@ -428,8 +451,8 @@ class CooSymmetric(SymmetricOperator):
         def cost(r):  # the stored entries of the first r rows of _perm, and one more per row
             return int(np.minimum(sizes, r).sum()) + int(np.searchsorted(self._overflow, r)) + r
 
-        # a row's sum stays within its chunk, so the parts give the bits of one walk
-        _split(n, n * k, rows, cost)
+        # a row's sum stays within its chunk, so the pieces give the bits of one walk
+        _split(n, n * k, rows, cost, align=chunk)
         return out
 
     def exact_diag(self) -> np.ndarray:

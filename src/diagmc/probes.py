@@ -31,7 +31,7 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.random import Philox
 
-from .operators import _chunk_rows, _parts, _split
+from .operators import _chunk_rows, _chunks, _parts, _split
 
 __all__ = [
     "STREAM_FORMAT",
@@ -314,29 +314,34 @@ def _sample_block(
     out = np.empty((n, count))
     w = _words_per_probe(n, entries_per_word)
     first = state.counter * w
-    # one part draws and fills its block whole: through the part path below, a
+    # one thread draws and fills its block whole: through the piece path below, a
     # Gaussian (100, 1) block took 61 us where this takes 38, and a (100, 1024)
     # block of any family 8-30% longer (2-CPU Xeon), in the paper's many short calls
     if _parts(count, n * count) < 2:
         if count:
             fill(out, _raw_words(state.seed, first, count * w).reshape(count, w))
         return out, state.advance(count)
-    # the part of probes lo..hi draws their words into rows lo..hi of one word
-    # array, _DRAW_WORDS at a time, and fills columns lo..hi of the block a
-    # chunk of entries at a time (a multiple of 64, where every family's words
-    # split), so that its fill scratch is a chunk too
+    # the probes' words go into one word array, _DRAW_WORDS at a time, pieces of
+    # probes at a time; then the block is filled pieces of rows at a time, a
+    # chunk of entries at a time (a multiple of 64 rows, where every family's
+    # words split), so that the scratch of a draw or a fill is a chunk too
     words = np.empty((count, w), dtype=np.uint64)
 
-    def part(lo, hi):
-        flat = words[lo:hi].reshape(-1)
-        for at in range(0, flat.size, _DRAW_WORDS):
-            size = min(_DRAW_WORDS, flat.size - at)
-            flat[at : at + size] = _raw_words(state.seed, first + lo * w + at, size)
-        step = 64 * max(1, _chunk_rows(n, hi - lo) // 64)
-        for a in range(0, n, step):
-            fill(out[a : a + step, lo:hi], words[lo:hi, a // entries_per_word : (a + step) // entries_per_word])
+    def draw(pieces):
+        for lo, hi in pieces:
+            flat = words[lo:hi].reshape(-1)
+            for at in range(0, flat.size, _DRAW_WORDS):
+                size = min(_DRAW_WORDS, flat.size - at)
+                flat[at : at + size] = _raw_words(state.seed, first + lo * w + at, size)
 
-    _split(count, n * count, part)
+    step = 64 * max(1, _chunk_rows(n, count) // 64)
+
+    def rows(pieces):
+        for lo, hi in _chunks(pieces, step):
+            fill(out[lo:hi], words[:, lo // entries_per_word : (lo + step) // entries_per_word])
+
+    _split(count, n * count, draw)
+    _split(n, n * count, rows, align=step)
     return out, state.advance(count)
 
 

@@ -572,50 +572,77 @@ class TestSlotApply:
 
 
 class TestSplit:
-    """``_split`` runs its parts on the calling thread and the pool, and keeps no error back."""
+    """``_split`` walks shared pieces on the calling thread and the pool, and keeps no error back."""
 
     def test_small_blocks_run_whole_on_the_calling_thread(self, monkeypatch):
         calls = []
         monkeypatch.setattr(operators, "_WORKERS", 3)
-        operators._split(100, 2 * operators._SPLIT_ENTRIES - 1, lambda lo, hi: calls.append(
-            (lo, hi, threading.get_ident())))
+        operators._split(100, 2 * operators._SPLIT_ENTRIES - 1, lambda pieces: calls.extend(
+            (lo, hi, threading.get_ident()) for lo, hi in pieces))
         assert calls == [(0, 100, threading.get_ident())]
 
-    @pytest.mark.parametrize("cost,ends", [(None, [0, 3, 6, 10]), (lambda i: i * i, [0, 6, 9, 10])])
-    def test_parts_cover_the_range(self, in_parts, cost, ends):
-        # a cost of i^2 for the first i items puts 33.3 and 66.7 at items 6 and 9
+    @pytest.mark.parametrize("cost,align,ends", [
+        (None, 1, [0, 2, 4, 6, 8, 10, 12]),
+        # a cost of i^2 for the first i items puts 24, 48, ..., 120 at items 5, 7, 9, 10 and 11
+        (lambda i: i * i, 1, [0, 5, 7, 9, 10, 11, 12]),
+        (None, 4, [0, 4, 8, 12]),
+    ])
+    def test_pieces_cover_the_range(self, in_parts, cost, align, ends):
+        # three threads of 4 entries each, in pieces of half that
         calls = []
-        with in_parts():
-            operators._split(10, 10, lambda lo, hi: calls.append((lo, hi)), cost)
+        with in_parts(cut=4):
+            operators._split(12, 12, lambda pieces: calls.extend(pieces), cost, align)
         assert sorted(calls) == list(zip(ends[:-1], ends[1:]))
 
+    def test_a_slow_thread_walks_fewer_pieces(self, in_parts):
+        # the pool thread sleeps through its first piece; the caller walks the rest
+        # where a fixed half each would have kept it waiting for the pool's half
+        walked = {}
+        caller = threading.get_ident()
+
+        def body(pieces):
+            for lo, hi in pieces:
+                if threading.get_ident() != caller:
+                    time.sleep(0.5)
+                walked.setdefault(threading.get_ident() == caller, []).append(lo)
+
+        with in_parts(workers=2):
+            operators._split(20, 20, body)
+        assert sorted(walked[True] + walked.get(False, [])) == list(range(20))
+        assert len(walked.get(False, [])) <= 1
+
     @pytest.mark.parametrize("failing", [0, 1, 2])
-    def test_an_error_reaches_the_caller_after_every_part(self, in_parts, failing):
+    def test_an_error_reaches_the_caller_after_every_piece(self, in_parts, failing):
         ended = []
 
-        def body(lo, hi):
-            if lo == failing:
-                raise ValueError(f"part {lo}")
-            time.sleep(0.2)
-            ended.append(lo)
+        def body(pieces):
+            for lo, hi in pieces:
+                if lo == failing:
+                    raise ValueError(f"piece {lo}")
+                time.sleep(0.2)
+                ended.append(lo)
 
-        with in_parts(), pytest.raises(ValueError, match=f"^part {failing}$"):
+        with in_parts(), pytest.raises(ValueError, match=f"^piece {failing}$"):
             operators._split(3, 3, body)
         assert sorted(ended) == sorted({0, 1, 2} - {failing})
 
-    def test_parts_run_under_the_callers_error_state(self, in_parts):
+    def test_pieces_run_under_the_callers_error_state(self, in_parts):
         # pool threads start from numpy's default error state, where inf - inf warns
-        seen = []
+        seen, threads = [], set()
 
-        def body(lo, hi):
-            seen.append(np.geterr())
-            np.subtract(np.full(hi - lo, np.inf), np.inf)
+        def body(pieces):
+            for lo, hi in pieces:
+                seen.append(np.geterr())
+                threads.add(threading.get_ident())
+                np.subtract(np.full(hi - lo, np.inf), np.inf)
+                time.sleep(0.1)  # so that the pool threads take pieces too
 
         with in_parts(), warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
             warnings.simplefilter("error")
             want = np.geterr()
             operators._split(3, 3, body)
         assert seen == [want] * 3
+        assert threads - {threading.get_ident()}
 
     def test_overflowing_slot_sums_rejected_in_parts(self, in_parts, monkeypatch):
         # entries of 1e308 on three diagonals: a row's slot sums overflow, in every
