@@ -280,8 +280,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    # IndexError: a --component out of range; MemoryError: a size too large to allocate
     except (DataError, ValueError, UnsupportedOperationError, DegenerateProbeError,
-            IndexError) as exc:  # IndexError: a --component out of range
+            IndexError, MemoryError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -21,7 +21,6 @@ are provided:
 * ``TridiagToeplitz``:      unit diagonal, constant off-diagonal theta
 """
 
-import bisect
 import math
 import os
 import threading
@@ -58,15 +57,16 @@ def _chunk_rows(n: int, width: int) -> int:
     return max(1, min(n, _APPLY_ELEMENTS // max(width, 1)))
 
 
-# The walks over disjoint rows or probe columns of a large block (the sparse
-# apply, the probe sampler and the estimators' row products) run on up to
-# _WORKERS threads, one per CPU this process may run on, at most 2: the gain
+# The walks over disjoint runs of rows, probes or words of a large block (the
+# sparse apply, the probe sampler and the estimators' row products) run on up
+# to _WORKERS threads, one per CPU this process may run on, at most 2: the gain
 # and the memory (each pool thread keeps a malloc arena of its own) have been
 # measured with one pool thread only.  A thread takes _SPLIT_ENTRIES block
 # entries at least: below about 2^19, handing work to a thread costs more than
-# it saves.  The threads take pieces of about half that from one queue, so a
-# thread that starts late or runs slow (its CPU busy elsewhere) walks less of
-# the block, where a fixed part each would keep the caller waiting for it.
+# it saves.  The threads take the runs the walk's body walks, a chunk each, from
+# one queue, so a thread that starts late or runs slow (its CPU busy elsewhere)
+# walks less of the block, where a fixed part each would keep the caller
+# waiting for it.
 _WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 _SPLIT_ENTRIES = 2**19
 _pool = None
@@ -84,32 +84,41 @@ if hasattr(os, "register_at_fork"):
 
 
 def _parts(n: int, entries: int) -> int:
-    """How many threads :func:`_split` walks ``range(n)`` on, for a block of ``entries`` entries."""
+    """How many threads at most :func:`_split` walks ``range(n)`` on, for a block of ``entries`` entries."""
     return max(1, min(_WORKERS, n, entries // _SPLIT_ENTRIES))
 
 
-def _split(n: int, entries: int, body: Callable[[Iterator[tuple[int, int]]], None],
-           cost: Callable[[int], float] = None, align: int = 1) -> None:
-    """Run ``body(pieces)`` on :func:`_parts` threads, over contiguous pieces that cover ``range(n)``.
+def _split(n: int, chunk: int, entries: int, body: Callable[[Iterator[tuple[int, int]]], None]) -> None:
+    """Run ``body(runs)`` on up to :func:`_parts` threads, over the runs of ``chunk`` items that cover ``range(n)``.
 
-    Each thread's ``pieces`` yields ``(lo, hi)`` pairs from one shared queue
-    until it is empty, so every piece is walked once, by whichever thread is
-    free, and a body keeps its scratch across its pieces.  The pieces hold
-    equal numbers of items, or equal shares of ``cost(i)``, the nondecreasing
-    cost of the first i items, and start at multiples of ``align``.  The
-    calling thread runs one body and a process-wide thread pool the others; a
-    block of fewer than two threads' worth of entries is one piece, walked by
-    the calling thread.  Every body has ended when this returns or raises,
-    and an error raised in any body reaches the caller.  Every body runs under
-    the caller's numpy error state, which pool threads do not inherit.  A body
-    must not call ``_split`` itself: a body running on a pool thread that
-    waited for the pool could wait for ever.  The arrays a body fills are
-    allocated by the caller, and its own scratch is a chunk or a few: memory a
-    pool thread allocates stays in that thread's malloc arena once freed.
+    The runs are ``(lo, min(n, lo + chunk))`` for ``lo`` a multiple of
+    ``chunk``.  Each thread's ``runs`` takes them from one shared queue until
+    it is empty, so every run is walked once, by whichever thread is free, and
+    a body keeps its scratch across its runs.  The calling thread runs one
+    body and a process-wide thread pool the others, no more threads than there
+    are runs: a walk of one run, or of a block of fewer than two threads'
+    worth of entries, stays on the calling thread.  Every body has ended when
+    this returns or raises, and an error raised in any body reaches the
+    caller.  Every body runs under the caller's numpy error state, which pool
+    threads do not inherit.  A body must not call ``_split`` itself: a body
+    running on a pool thread that waited for the pool could wait for ever.
+    The arrays a body fills are allocated by the caller, and its own scratch
+    is a chunk or a few: memory a pool thread allocates stays in that
+    thread's malloc arena once freed.
     """
-    parts = _parts(n, entries)
+    starts, lock = iter(range(0, n, chunk)), threading.Lock()
+
+    def runs():
+        while True:
+            with lock:
+                lo = next(starts, None)
+            if lo is None:
+                return
+            yield lo, min(n, lo + chunk)
+
+    parts = min(_parts(n, entries), -(-n // chunk))
     if parts < 2:
-        body(iter([(0, n)]))
+        body(runs())
         return
     global _pool
     with _pool_lock:
@@ -118,44 +127,20 @@ def _split(n: int, entries: int, body: Callable[[Iterator[tuple[int, int]]], Non
 
             _pool = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="diagmc")
         pool = _pool
-    pieces = min(n, max(parts, 2 * entries // _SPLIT_ENTRIES))
-    if cost is None:
-        ends = [n * p // pieces for p in range(pieces + 1)]
-    else:
-        total = cost(n)
-        ends = [0, *(bisect.bisect_left(range(n), total * p / pieces, key=cost) for p in range(1, pieces)), n]
-    ends = sorted({min(n, -(-e // align) * align) for e in ends})
-    queue, lock = iter(list(zip(ends[:-1], ends[1:]))), threading.Lock()
-
-    def take():
-        while True:
-            with lock:
-                piece = next(queue, None)
-            if piece is None:
-                return
-            yield piece
-
     err, call = np.geterr(), np.geterrcall()
 
     def run():
         with np.errstate(call=call, **err):
-            body(take())
+            body(runs())
 
     futures = [pool.submit(run) for _ in range(parts - 1)]
     try:
-        body(take())
+        body(runs())
     finally:
         for f in futures:
             f.exception()  # waits for the body
     for f in futures:
         f.result()
-
-
-def _chunks(pieces: Iterator[tuple[int, int]], size: int) -> Iterator[tuple[int, int]]:
-    """The ``(lo, hi)`` runs of at most ``size`` items that the ``(start, stop)`` pieces cut into."""
-    for start, stop in pieces:
-        for lo in range(start, stop, size):
-            yield lo, min(stop, lo + size)
 
 
 def _check_finite(values: np.ndarray) -> None:
@@ -420,7 +405,7 @@ class CooSymmetric(SymmetricOperator):
         chunk = _chunk_rows(n, k)
         out, base = np.empty((n, k)), self._slots[-1]
 
-        def rows(pieces):  # pieces of rows of _perm, a chunk at a time
+        def rows(runs):  # runs of a chunk of rows of _perm
             acc, gathered = np.empty((2, chunk, k))
 
             def products(lo, m):  # stored values lo..lo+m times their rows of the block
@@ -429,7 +414,7 @@ class CooSymmetric(SymmetricOperator):
                 np.take(mat, self._cols[lo : lo + m], axis=0, out=g, mode="clip")
                 return np.multiply(self._values[lo : lo + m, None], g, out=g)
 
-            for lo, hi in _chunks(pieces, chunk):
+            for lo, hi in runs:
                 a = acc[: hi - lo]
                 a.fill(0.0)
                 for slot, slot_rows in self._slot_rows():
@@ -446,13 +431,8 @@ class CooSymmetric(SymmetricOperator):
                     np.add.at(a.reshape(-1), at.reshape(-1), products(base + e, m).reshape(-1))
                 out[self._perm[lo:hi]] = a
 
-        sizes = np.diff(self._slots)
-
-        def cost(r):  # the stored entries of the first r rows of _perm, and one more per row
-            return int(np.minimum(sizes, r).sum()) + int(np.searchsorted(self._overflow, r)) + r
-
-        # a row's sum stays within its chunk, so the pieces give the bits of one walk
-        _split(n, n * k, rows, cost, align=chunk)
+        # a row's sum stays within its chunk, so the runs give the bits of one walk
+        _split(n, chunk, n * k, rows)
         return out
 
     def exact_diag(self) -> np.ndarray:

@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from diagmc import operators
+from diagmc import operators, probes
 
 
 def _peak_bytes(fn):
@@ -25,10 +25,16 @@ def peak_bytes():
 
 @contextlib.contextmanager
 def _in_parts(workers=3, cut=1):
-    """Run every walk that splits in up to ``workers`` parts, at blocks of ``cut`` entries a part."""
+    """Run every walk that splits in up to ``workers`` parts, at blocks of ``cut`` entries a part.
+
+    A walk splits only where it has more than one run: the sampler's draw takes
+    runs of 64 words here, so that the small blocks of a test split too, and the
+    row walks keep their chunks.
+    """
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(operators, "_WORKERS", workers)
         mp.setattr(operators, "_SPLIT_ENTRIES", cut)
+        mp.setattr(probes, "_DRAW_WORDS", 64)
         yield
 
 

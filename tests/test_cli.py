@@ -398,6 +398,19 @@ class TestExtremeFiles:
             EXIT_DATA, "", "data error: matrix entries must be finite\n")
 
 
+    @pytest.mark.parametrize("argv", [
+        ("bounds", "--matrix-file", "huge-n.mtx"),
+        ("estimate", "--samples", "1", "--test-matrix", "rank1:1000000000000:0.05"),
+    ], ids=["file", "test-matrix"])
+    def test_size_too_large_to_allocate(self, tmp_path, capsys, monkeypatch, argv):
+        # n = 10^12: a length-n array takes 7.28 TiB, an allocation refused at once
+        (tmp_path / "huge-n.mtx").write_text("%%MatrixMarket matrix coordinate real symmetric\n"
+                                             "1000000000000 1000000000000 1\n1 1 1\n")
+        monkeypatch.chdir(tmp_path)
+        code, out, err = _run(capsys, *argv)
+        assert (code, out) == (EXIT_DATA, "")
+        assert re.fullmatch(r"data error: Unable to allocate [\d.]+ TiB .*\n", err)
+
 # The grammar of the property test below: every float option draws from these,
 # half the time from the two plain values, so that many commands succeed
 _FLOATS = ("0", "5e-324", "1e-320", "1e-170", "1e-160", "0.1", "1", "1e154", "1e200",

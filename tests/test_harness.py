@@ -3,12 +3,13 @@
 import csv
 import hashlib
 import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
-from diagmc import probes
+from diagmc import operators, probes
 from diagmc.estimators import estimate_diagonal, estimate_diagonal_normalized
 from diagmc.harness import (
     DEFAULT_N_GRID,
@@ -170,15 +171,23 @@ class TestNormalizedErrorLaw:
         with pytest.raises(ValueError, match=message + r"\[0, 12\)"):
             replicate_component_errors(op, 0, rademacher(), 4, 3, 0)
 
-    def test_overflowing_sum_rejected_in_parts(self, in_parts):
-        # the row products of the estimate run in three parts, on pool threads; at
-        # 1e308 I every row's sum of four products overflows
+    def test_overflowing_sum_rejected_in_parts(self, in_parts, monkeypatch):
+        # the row products of the estimate run in three parts of one-row runs, on pool
+        # threads; at 1e308 I every row's sum of four products overflows.  A short
+        # switch interval lets the pool threads take runs before the caller has
+        # walked them all
+        monkeypatch.setattr(operators, "_APPLY_ELEMENTS", 1)
+        interval = sys.getswitchinterval()
         with in_parts(), warnings.catch_warnings():
             warnings.simplefilter("error")
             self.test_overflowing_sum_rejected()
-            op = DenseSymmetric.from_dense(np.diag(np.full(3, 1e308)))
-            with pytest.raises(ValueError, match=r"non-finite matvec or gradient values at probe counters \[0, 4\)"):
-                estimate_diagonal(op, rademacher(), 4, 0)
+            op = DenseSymmetric.from_dense(np.diag(np.full(2000, 1e308)))
+            sys.setswitchinterval(1e-6)
+            try:
+                with pytest.raises(ValueError, match=r"non-finite matvec or gradient values at probe counters \[0, 4\)"):
+                    estimate_diagonal(op, rademacher(), 4, 0)
+            finally:
+                sys.setswitchinterval(interval)
 
     @pytest.mark.parametrize("row, match", [
         ([1.0, 1e200, 1e200], "squared off-diagonal mass of component 0 overflows"),

@@ -3,6 +3,7 @@
 import math
 import multiprocessing
 import os
+import sys
 import threading
 import time
 import warnings
@@ -572,42 +573,62 @@ class TestSlotApply:
 
 
 class TestSplit:
-    """``_split`` walks shared pieces on the calling thread and the pool, and keeps no error back."""
+    """``_split`` walks runs from one queue on the calling thread and the pool, and keeps no error back."""
 
     def test_small_blocks_run_whole_on_the_calling_thread(self, monkeypatch):
         calls = []
         monkeypatch.setattr(operators, "_WORKERS", 3)
-        operators._split(100, 2 * operators._SPLIT_ENTRIES - 1, lambda pieces: calls.extend(
-            (lo, hi, threading.get_ident()) for lo, hi in pieces))
-        assert calls == [(0, 100, threading.get_ident())]
+        operators._split(100, 30, 2 * operators._SPLIT_ENTRIES - 1, lambda runs: calls.extend(
+            (lo, hi, threading.get_ident()) for lo, hi in runs))
+        assert calls == [(lo, min(100, lo + 30), threading.get_ident()) for lo in range(0, 100, 30)]
 
-    @pytest.mark.parametrize("cost,align,ends", [
-        (None, 1, [0, 2, 4, 6, 8, 10, 12]),
-        # a cost of i^2 for the first i items puts 24, 48, ..., 120 at items 5, 7, 9, 10 and 11
-        (lambda i: i * i, 1, [0, 5, 7, 9, 10, 11, 12]),
-        (None, 4, [0, 4, 8, 12]),
-    ])
-    def test_pieces_cover_the_range(self, in_parts, cost, align, ends):
-        # three threads of 4 entries each, in pieces of half that
+    def test_one_run_makes_no_pool(self, in_parts, monkeypatch):
+        # entries enough for three threads, but one run: no task is handed to a pool
+        monkeypatch.setattr(operators, "_pool", None)
         calls = []
-        with in_parts(cut=4):
-            operators._split(12, 12, lambda pieces: calls.extend(pieces), cost, align)
-        assert sorted(calls) == list(zip(ends[:-1], ends[1:]))
+        with in_parts():
+            operators._split(12, 12, 12, lambda runs: calls.extend(
+                (lo, hi, threading.get_ident()) for lo, hi in runs))
+        assert calls == [(0, 12, threading.get_ident())]
+        assert operators._pool is None
+
+    @pytest.mark.parametrize("n,chunk", [(12, 2), (13, 4), (12, 5)])
+    def test_runs_cover_the_range(self, in_parts, n, chunk):
+        # three threads, the last run short where chunk does not divide n
+        calls = []
+        with in_parts():
+            operators._split(n, chunk, n, lambda runs: calls.extend(runs))
+        assert sorted(calls) == [(lo, min(n, lo + chunk)) for lo in range(0, n, chunk)]
+
+    def test_runs_are_taken_once_under_contention(self, in_parts, monkeypatch):
+        # four threads on at most two CPUs, switching every microsecond: a run taken
+        # twice from the queue, or lost, would show in the runs walked
+        monkeypatch.setattr(operators, "_pool", None)
+        walked, interval = [], sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with in_parts(workers=4):
+                operators._split(20_000, 1, 20_000, lambda runs: walked.append([lo for lo, _ in runs]))
+        finally:
+            sys.setswitchinterval(interval)
+            operators._pool.shutdown()
+        assert len(walked) == 4
+        assert sorted(lo for mine in walked for lo in mine) == list(range(20_000))
 
     def test_a_slow_thread_walks_fewer_pieces(self, in_parts):
-        # the pool thread sleeps through its first piece; the caller walks the rest
+        # the pool thread sleeps through its first run; the caller walks the rest
         # where a fixed half each would have kept it waiting for the pool's half
         walked = {}
         caller = threading.get_ident()
 
-        def body(pieces):
-            for lo, hi in pieces:
+        def body(runs):
+            for lo, hi in runs:
                 if threading.get_ident() != caller:
                     time.sleep(0.5)
                 walked.setdefault(threading.get_ident() == caller, []).append(lo)
 
         with in_parts(workers=2):
-            operators._split(20, 20, body)
+            operators._split(20, 1, 20, body)
         assert sorted(walked[True] + walked.get(False, [])) == list(range(20))
         assert len(walked.get(False, [])) <= 1
 
@@ -615,38 +636,39 @@ class TestSplit:
     def test_an_error_reaches_the_caller_after_every_piece(self, in_parts, failing):
         ended = []
 
-        def body(pieces):
-            for lo, hi in pieces:
+        def body(runs):
+            for lo, hi in runs:
                 if lo == failing:
-                    raise ValueError(f"piece {lo}")
+                    raise ValueError(f"run {lo}")
                 time.sleep(0.2)
                 ended.append(lo)
 
-        with in_parts(), pytest.raises(ValueError, match=f"^piece {failing}$"):
-            operators._split(3, 3, body)
+        with in_parts(), pytest.raises(ValueError, match=f"^run {failing}$"):
+            operators._split(3, 1, 3, body)
         assert sorted(ended) == sorted({0, 1, 2} - {failing})
 
     def test_pieces_run_under_the_callers_error_state(self, in_parts):
         # pool threads start from numpy's default error state, where inf - inf warns
         seen, threads = [], set()
 
-        def body(pieces):
-            for lo, hi in pieces:
+        def body(runs):
+            for lo, hi in runs:
                 seen.append(np.geterr())
                 threads.add(threading.get_ident())
                 np.subtract(np.full(hi - lo, np.inf), np.inf)
-                time.sleep(0.1)  # so that the pool threads take pieces too
+                time.sleep(0.1)  # so that the pool threads take runs too
 
         with in_parts(), warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
             warnings.simplefilter("error")
             want = np.geterr()
-            operators._split(3, 3, body)
+            operators._split(3, 1, 3, body)
         assert seen == [want] * 3
         assert threads - {threading.get_ident()}
 
     def test_overflowing_slot_sums_rejected_in_parts(self, in_parts, monkeypatch):
         # entries of 1e308 on three diagonals: a row's slot sums overflow, in every
-        # part, and the estimate refuses the block as it does in one walk
+        # part of one-row runs, and the estimate refuses the block as it does in one walk
+        monkeypatch.setattr(operators, "_APPLY_ELEMENTS", 1)
         n = 30
         i = np.arange(n)
         op = CooSymmetric(n, np.concatenate([i, i[1:]]), np.concatenate([i, i[:-1]]), np.full(2 * n - 1, 1e308))

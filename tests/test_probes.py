@@ -220,28 +220,36 @@ class TestIndependence:
     block splits of one estimate, and as the first probes of neighbouring replicates.
 
     The statistic is the largest entry of the lag-1 cross-covariance
-    C = (1/K) sum_k w_k w_(k+1)^T over K consecutive pairs.  Under independence
-    each entry's K terms w_k[i] w_(k+1)[j] are martingale differences (the next
-    probe has mean 0 given the earlier ones) of magnitude at most c: 1 for
-    Rademacher entries, s for sparse entries of magnitude sqrt(s).  Azuma-Hoeffding
-    gives P(|C_ij| >= tau) <= 2 exp(-K tau^2 / (2 c^2)), so with a union bound over
-    the n^2 entries a threshold tau = c sqrt(2 ln(2 n^2 / ALPHA) / K) fails an
-    independent stream with probability at most ALPHA per check.  At n = 100 and
-    K = 4,096, tau is 0.108 (Rademacher) and 0.323 (sparse:3); the stream reads
-    0.061 and 0.070, and the overlapping sampler 1.0 and 1.02.  The same bound holds
+    C = (1/K) sum_k sign(w_k) sign(w_(k+1))^T of the entries' signs over K
+    consecutive pairs.  The signs of Rademacher entries are the entries, those of
+    sparse entries the entries over sqrt(s), and those of independent N(0, 1)
+    entries independent Rademacher entries.  Under independence each entry's K
+    terms are martingale differences (the next probe's signs have mean 0 given the
+    earlier ones) of magnitude at most 1.  Azuma-Hoeffding gives
+    P(|C_ij| >= tau) <= 2 exp(-K tau^2 / 2), so with a union bound over the n^2
+    entries a threshold tau = sqrt(2 ln(2 n^2 / ALPHA) / K) fails an independent
+    stream with probability at most ALPHA per check.  At n = 100 and K = 4,096,
+    tau is 0.108; the Rademacher, sparse:3 and Gaussian streams read 0.061, 0.023
+    and 0.057, and the overlapping sampler 1.0, 0.34 and 1.0.  The same bound holds
     for probe 0 of replicates r and r + 1, whose derived seeds key separate streams.
     """
 
     N, K, ALPHA = 100, 4096, 1e-6
-    FAMILIES = [(rademacher(), 1.0), (sparse_rademacher(3), 3.0)]
-    IDS = ["rademacher", "sparse:3"]
+    FAMILIES = [rademacher(), sparse_rademacher(3), gaussian()]
+    IDS = ["rademacher", "sparse:3", "gaussian"]
 
     @classmethod
-    def _independent(cls, stream, c):
-        left, right = stream[:, :-1], stream[:, 1:]
+    def _independent(cls, stream):
+        signs = np.sign(stream)
+        left, right = signs[:, :-1], signs[:, 1:]
         pairs = left.shape[1]
-        tau = c * math.sqrt(2.0 * math.log(2.0 * cls.N**2 / cls.ALPHA) / pairs)
+        tau = math.sqrt(2.0 * math.log(2.0 * cls.N**2 / cls.ALPHA) / pairs)
         return np.max(np.abs(left @ right.T)) / pairs < tau
+
+    @classmethod
+    def _window(cls, spec):
+        # the Philox words of one probe
+        return probes._words_per_probe(cls.N, 64 if spec.sparsity == 1.0 else 1)
 
     @classmethod
     def _one_block(cls, sample, spec):
@@ -265,11 +273,12 @@ class TestIndependence:
 
     @classmethod
     def _across_worker_splits(cls, in_parts, spec, raw_words=probes._raw_words):
-        # one estimate of K + 1 probes in blocks of two, each drawn in two parts of
-        # one probe, so every pair straddles a worker split or a block split
+        # one estimate of K + 1 probes in blocks of two, each drawn in two runs of one
+        # probe's words, so every pair straddles a worker split or a block split
         blocks = []
         op = MatrixFreeOperator(cls.N, lambda mat: blocks.append(mat.copy()) or mat)
         with in_parts(workers=2), patch.object(probes, "_BLOCK_VECTORS", 2), \
+                patch.object(probes, "_DRAW_WORDS", cls._window(spec)), \
                 patch.object(probes, "_raw_words", raw_words):
             estimate_diagonal(op, spec, cls.K + 1, 0)
         return np.hstack(blocks)
@@ -280,54 +289,53 @@ class TestIndependence:
         return np.hstack([sample_probe_block(spec, cls.N, RngState(seed_of(r)), 1)[0]
                           for r in range(cls.K + 1)])
 
-    @pytest.mark.parametrize("spec,c", FAMILIES, ids=IDS)
+    @pytest.mark.parametrize("spec", FAMILIES, ids=IDS)
     @pytest.mark.parametrize("read", ["_one_block", "_two_calls"])
-    def test_lag_one_cross_covariance_is_small(self, spec, c, read):
-        assert self._independent(getattr(self, read)(sample_probe_block, spec), c)
+    def test_lag_one_cross_covariance_is_small(self, spec, read):
+        assert self._independent(getattr(self, read)(sample_probe_block, spec))
 
-    @pytest.mark.parametrize("spec,c", FAMILIES, ids=IDS)
+    @pytest.mark.parametrize("spec", FAMILIES, ids=IDS)
     @pytest.mark.parametrize("read", ["_one_block", "_two_calls"])
-    def test_overlapping_windows_are_caught(self, spec, c, read):
+    def test_overlapping_windows_are_caught(self, spec, read):
         stream = getattr(self, read)(_overlapping_block, spec)
         assert stream.shape == (self.N, self.K + 1)
-        assert not self._independent(stream, c)
+        assert not self._independent(stream)
 
-    @pytest.mark.parametrize("spec,c", FAMILIES, ids=IDS)
-    def test_pairs_across_block_splits(self, spec, c):
-        assert self._independent(self._across_block_splits(sample_probe_block, spec), c)
+    @pytest.mark.parametrize("spec", FAMILIES, ids=IDS)
+    def test_pairs_across_block_splits(self, spec):
+        assert self._independent(self._across_block_splits(sample_probe_block, spec))
 
-    @pytest.mark.parametrize("spec,c", FAMILIES, ids=IDS)
-    def test_a_split_that_rereads_a_probe_is_caught(self, spec, c):
+    @pytest.mark.parametrize("spec", FAMILIES, ids=IDS)
+    def test_a_split_that_rereads_a_probe_is_caught(self, spec):
         stream = self._across_block_splits(_rereading_block, spec)
         assert stream.shape == (self.N, self.K + 1)
-        assert not self._independent(stream, c)
+        assert not self._independent(stream)
 
-    @pytest.mark.parametrize("spec,c", FAMILIES, ids=IDS)
-    def test_pairs_across_worker_splits(self, in_parts, spec, c):
-        assert self._independent(self._across_worker_splits(in_parts, spec), c)
+    @pytest.mark.parametrize("spec", FAMILIES, ids=IDS)
+    def test_pairs_across_worker_splits(self, in_parts, spec):
+        assert self._independent(self._across_worker_splits(in_parts, spec))
 
-    @pytest.mark.parametrize("spec,c", FAMILIES, ids=IDS)
-    def test_a_part_that_rereads_its_neighbour_is_caught(self, in_parts, spec, c):
+    @pytest.mark.parametrize("spec", FAMILIES, ids=IDS)
+    def test_a_part_that_rereads_its_neighbour_is_caught(self, in_parts, spec):
         # the planted defect: the second part of each block draws from the first
         # part's probe, whose window starts w words earlier
-        w = probes._words_per_probe(self.N, 64 if spec.sparsity == 1.0 else 1)
-        raw = probes._raw_words
+        w, raw = self._window(spec), probes._raw_words
 
         def rereading(seed, first, count):
             return raw(seed, first - w if first // w % 2 else first, count)
 
         stream = self._across_worker_splits(in_parts, spec, rereading)
         assert stream.shape == (self.N, self.K + 1)
-        assert not self._independent(stream, c)
+        assert not self._independent(stream)
 
-    @pytest.mark.parametrize("spec,c", FAMILIES, ids=IDS)
-    def test_first_probes_of_neighbouring_replicates(self, spec, c):
+    @pytest.mark.parametrize("spec", FAMILIES, ids=IDS)
+    def test_first_probes_of_neighbouring_replicates(self, spec):
         # the cell seed of harness._run_cells: experiment 1, indices (0, 0, 0), replicate r
-        assert self._independent(self._replicate_neighbours(lambda r: derive_seed(0, 1, 0, 0, 0, r), spec), c)
+        assert self._independent(self._replicate_neighbours(lambda r: derive_seed(0, 1, 0, 0, 0, r), spec))
 
-    @pytest.mark.parametrize("spec,c", FAMILIES, ids=IDS)
-    def test_seeds_that_ignore_the_replicate_are_caught(self, spec, c):
-        assert not self._independent(self._replicate_neighbours(lambda r: derive_seed(0, 1, 0, 0, 0), spec), c)
+    @pytest.mark.parametrize("spec", FAMILIES, ids=IDS)
+    def test_seeds_that_ignore_the_replicate_are_caught(self, spec):
+        assert not self._independent(self._replicate_neighbours(lambda r: derive_seed(0, 1, 0, 0, 0), spec))
 
 
 class TestUniform:
