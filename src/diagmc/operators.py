@@ -60,27 +60,15 @@ def _chunk_rows(n: int, width: int) -> int:
 # The walks over disjoint runs of rows, probes or words of a large block (the
 # sparse apply, the probe sampler and the estimators' row products) run on up
 # to _WORKERS threads, one per CPU this process may run on, at most 2: the gain
-# and the memory (each pool thread keeps a malloc arena of its own) have been
-# measured with one pool thread only.  A thread takes _SPLIT_ENTRIES block
-# entries at least: below about 2^19, handing work to a thread costs more than
-# it saves.  The threads take the runs the walk's body walks, a chunk each, from
-# one queue, so a thread that starts late or runs slow (its CPU busy elsewhere)
-# walks less of the block, where a fixed part each would keep the caller
-# waiting for it.
+# and the memory (each thread keeps a malloc arena of its own) have been
+# measured with one extra thread only.  Each split starts and joins threads of
+# its own.  A thread takes _SPLIT_ENTRIES block entries at least: below about
+# 2^19, handing work to a thread costs more than it saves.  The threads take
+# the runs the walk's body walks, a chunk each, from one queue, so a thread
+# that starts late or runs slow (its CPU busy elsewhere) walks less of the
+# block, where a fixed part each would keep the caller waiting for it.
 _WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 _SPLIT_ENTRIES = 2**19
-_pool = None
-_pool_lock = threading.Lock()
-
-
-def _forget_pool() -> None:
-    # a forked child has none of its parent's threads: it makes a pool of its own
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _parts(n: int, entries: int) -> int:
@@ -95,16 +83,14 @@ def _split(n: int, chunk: int, entries: int, body: Callable[[Iterator[tuple[int,
     ``chunk``.  Each thread's ``runs`` takes them from one shared queue until
     it is empty, so every run is walked once, by whichever thread is free, and
     a body keeps its scratch across its runs.  The calling thread runs one
-    body and a process-wide thread pool the others, no more threads than there
-    are runs: a walk of one run, or of a block of fewer than two threads'
-    worth of entries, stays on the calling thread.  Every body has ended when
-    this returns or raises, and an error raised in any body reaches the
-    caller.  Every body runs under the caller's numpy error state, which pool
-    threads do not inherit.  A body must not call ``_split`` itself: a body
-    running on a pool thread that waited for the pool could wait for ever.
-    The arrays a body fills are allocated by the caller, and its own scratch
-    is a chunk or a few: memory a pool thread allocates stays in that
-    thread's malloc arena once freed.
+    body and threads that this call starts and joins the others, no more
+    threads than there are runs: a walk of one run, or of a block of fewer
+    than two threads' worth of entries, stays on the calling thread.  Every
+    body has ended when this returns or raises, and an error raised in any
+    body reaches the caller, the caller's own first.  Every body runs under
+    the caller's numpy error state, which new threads do not inherit, and a
+    body may split again.  The arrays a body fills are allocated by the
+    caller, and its own scratch is a chunk or a few.
     """
     starts, lock = iter(range(0, n, chunk)), threading.Lock()
 
@@ -120,27 +106,26 @@ def _split(n: int, chunk: int, entries: int, body: Callable[[Iterator[tuple[int,
     if parts < 2:
         body(runs())
         return
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            from concurrent.futures import ThreadPoolExecutor  # loaded only where a block splits
-
-            _pool = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="diagmc")
-        pool = _pool
-    err, call = np.geterr(), np.geterrcall()
+    err, call, errors, threads = np.geterr(), np.geterrcall(), [], []
 
     def run():
-        with np.errstate(call=call, **err):
-            body(runs())
+        try:
+            with np.errstate(call=call, **err):
+                body(runs())
+        except BaseException as e:
+            errors.append(e)
 
-    futures = [pool.submit(run) for _ in range(parts - 1)]
     try:
+        for _ in range(parts - 1):
+            thread = threading.Thread(target=run, name="diagmc")
+            thread.start()
+            threads.append(thread)
         body(runs())
     finally:
-        for f in futures:
-            f.exception()  # waits for the body
-    for f in futures:
-        f.result()
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
 
 
 def _check_finite(values: np.ndarray) -> None:
@@ -435,16 +420,20 @@ class CooSymmetric(SymmetricOperator):
         _split(n, chunk, n * k, rows)
         return out
 
-    def exact_diag(self) -> np.ndarray:
-        rows, diag = self._entry_rows(), np.zeros(self._dim)
-        on = rows == self._cols
+    def _diagonal(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # the diagonal, and which stored values lie on it, from _entry_rows()
+        diag, on = np.zeros(self._dim), rows == self._cols
         diag[rows[on]] = self._values[on]
-        return diag
+        return diag, on
+
+    def exact_diag(self) -> np.ndarray:
+        return self._diagonal(self._entry_rows())[0]
 
     def row_sums(self):
-        diag, rows = self.exact_diag(), self._entry_rows()
+        rows = self._entry_rows()
+        diag, on = self._diagonal(rows)
         off = np.abs(self._values)
-        off[rows == self._cols] = 0.0
+        off[on] = 0.0
         with np.errstate(over="ignore"):
             off2 = off * off
         # float64 even with no entries, where bincount returns integer zeros

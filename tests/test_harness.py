@@ -172,9 +172,9 @@ class TestNormalizedErrorLaw:
             replicate_component_errors(op, 0, rademacher(), 4, 3, 0)
 
     def test_overflowing_sum_rejected_in_parts(self, in_parts, monkeypatch):
-        # the row products of the estimate run in three parts of one-row runs, on pool
+        # the row products of the estimate run in three parts of one-row runs, on split
         # threads; at 1e308 I every row's sum of four products overflows.  A short
-        # switch interval lets the pool threads take runs before the caller has
+        # switch interval lets the split threads take runs before the caller has
         # walked them all
         monkeypatch.setattr(operators, "_APPLY_ELEMENTS", 1)
         interval = sys.getswitchinterval()

@@ -1,8 +1,8 @@
 """Operator tests: apply correctness, exact diagonals, symmetry, validation."""
 
+import contextlib
 import math
 import multiprocessing
-import os
 import sys
 import threading
 import time
@@ -572,8 +572,13 @@ class TestSlotApply:
         assert peak <= out.nbytes + 3 * 3 * 8 * operators._APPLY_ELEMENTS + 2**16
 
 
+def _split_threads():
+    # the threads _split starts are named "diagmc"
+    return [t for t in threading.enumerate() if t.name.startswith("diagmc")]
+
+
 class TestSplit:
-    """``_split`` walks runs from one queue on the calling thread and the pool, and keeps no error back."""
+    """``_split`` walks runs from one queue on the calling thread and threads of its own, and keeps no error back."""
 
     def test_small_blocks_run_whole_on_the_calling_thread(self, monkeypatch):
         calls = []
@@ -582,15 +587,16 @@ class TestSplit:
             (lo, hi, threading.get_ident()) for lo, hi in runs))
         assert calls == [(lo, min(100, lo + 30), threading.get_ident()) for lo in range(0, 100, 30)]
 
-    def test_one_run_makes_no_pool(self, in_parts, monkeypatch):
-        # entries enough for three threads, but one run: no task is handed to a pool
-        monkeypatch.setattr(operators, "_pool", None)
+    def test_one_run_starts_no_thread(self, in_parts, monkeypatch):
+        # entries enough for three threads, but one run: no thread is started
+        started, start = [], threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda self: (started.append(self), start(self)))
         calls = []
         with in_parts():
             operators._split(12, 12, 12, lambda runs: calls.extend(
                 (lo, hi, threading.get_ident()) for lo, hi in runs))
         assert calls == [(0, 12, threading.get_ident())]
-        assert operators._pool is None
+        assert started == []
 
     @pytest.mark.parametrize("n,chunk", [(12, 2), (13, 4), (12, 5)])
     def test_runs_cover_the_range(self, in_parts, n, chunk):
@@ -600,10 +606,9 @@ class TestSplit:
             operators._split(n, chunk, n, lambda runs: calls.extend(runs))
         assert sorted(calls) == [(lo, min(n, lo + chunk)) for lo in range(0, n, chunk)]
 
-    def test_runs_are_taken_once_under_contention(self, in_parts, monkeypatch):
+    def test_runs_are_taken_once_under_contention(self, in_parts):
         # four threads on at most two CPUs, switching every microsecond: a run taken
         # twice from the queue, or lost, would show in the runs walked
-        monkeypatch.setattr(operators, "_pool", None)
         walked, interval = [], sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -611,13 +616,12 @@ class TestSplit:
                 operators._split(20_000, 1, 20_000, lambda runs: walked.append([lo for lo, _ in runs]))
         finally:
             sys.setswitchinterval(interval)
-            operators._pool.shutdown()
         assert len(walked) == 4
         assert sorted(lo for mine in walked for lo in mine) == list(range(20_000))
 
     def test_a_slow_thread_walks_fewer_pieces(self, in_parts):
-        # the pool thread sleeps through its first run; the caller walks the rest
-        # where a fixed half each would have kept it waiting for the pool's half
+        # the other thread sleeps through its first run; the caller walks the rest
+        # where a fixed half each would have kept it waiting for the other half
         walked = {}
         caller = threading.get_ident()
 
@@ -647,8 +651,64 @@ class TestSplit:
             operators._split(3, 1, 3, body)
         assert sorted(ended) == sorted({0, 1, 2} - {failing})
 
+    @pytest.mark.parametrize("failing", [None, 0, 1])
+    def test_no_thread_outlives_the_split(self, in_parts, failing):
+        def body(runs):
+            for lo, hi in runs:
+                time.sleep(0.05)  # so that every thread takes a run
+                if lo == failing:
+                    raise ValueError(f"run {lo}")
+
+        raises = contextlib.nullcontext() if failing is None else pytest.raises(ValueError)
+        with in_parts(), raises:
+            operators._split(6, 1, 6, body)
+        assert _split_threads() == []
+
+    def test_a_thread_that_fails_to_start_is_joined_after_the_first(self, in_parts, monkeypatch):
+        # the second start raises: the caller walks nothing, and the first thread
+        # has walked every run by the time the error reaches the caller
+        started, start, ended = [], threading.Thread.start, []
+
+        def second_fails(thread):
+            started.append(thread)
+            if len(started) == 2:
+                raise RuntimeError("can't start new thread")
+            start(thread)
+
+        def body(runs):
+            for lo, hi in runs:
+                time.sleep(0.1)
+                ended.append(lo)
+
+        monkeypatch.setattr(threading.Thread, "start", second_fails)
+        with in_parts(workers=3), pytest.raises(RuntimeError, match="^can't start new thread$"):
+            operators._split(3, 1, 3, body)
+        assert sorted(ended) == [0, 1, 2]
+        assert not started[0].is_alive()
+
+    def test_a_body_may_split_again(self, in_parts):
+        # an outer split of four runs whose bodies split eight runs each; a split
+        # that waited on threads busy with its own caller would never end, so the
+        # split runs on a daemon thread that the test waits on for a while only
+        walked = []
+
+        def inner(runs):
+            walked.extend(runs)
+
+        def outer(runs):
+            for lo, hi in runs:
+                operators._split(8, 1, 8, inner)
+
+        watchdog = threading.Thread(target=operators._split, args=(4, 1, 4, outer), daemon=True)
+        with in_parts(workers=2):
+            watchdog.start()
+            watchdog.join(timeout=60)
+        assert not watchdog.is_alive(), "the nested split did not end"
+        assert sorted(walked) == sorted([(lo, lo + 1) for lo in range(8)] * 4)
+        assert _split_threads() == []
+
     def test_pieces_run_under_the_callers_error_state(self, in_parts):
-        # pool threads start from numpy's default error state, where inf - inf warns
+        # new threads start from numpy's default error state, where inf - inf warns
         seen, threads = [], set()
 
         def body(runs):
@@ -656,7 +716,7 @@ class TestSplit:
                 seen.append(np.geterr())
                 threads.add(threading.get_ident())
                 np.subtract(np.full(hi - lo, np.inf), np.inf)
-                time.sleep(0.1)  # so that the pool threads take runs too
+                time.sleep(0.1)  # so that the other threads take runs too
 
         with in_parts(), warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
             warnings.simplefilter("error")
@@ -678,20 +738,18 @@ class TestSplit:
                 warnings.simplefilter("error")
                 estimate_diagonal(op, probes.rademacher(), 4, 0)
 
-    @pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="no fork on this platform")
-    @pytest.mark.filterwarnings("ignore:This process:DeprecationWarning")  # fork with the pool's threads alive
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork on this platform")
     def test_a_forked_child_applies_in_parts(self, in_parts):
         n, k = 1500, 64
         op = CooSymmetric(n, *_arrow(n))
         mat = np.random.default_rng(5).standard_normal((n, k))
         with in_parts():
-            want = op.apply(mat)  # the parent's pool has threads now
+            want = op.apply(mat)  # split: its threads have been joined
 
             def child():
-                # the parent's pool threads do not exist here: a pool kept across
-                # the fork would take the parts and never run them
                 assert _same_bits(op.apply(mat), want)
 
+            assert _split_threads() == []  # none to lose in the fork
             proc = multiprocessing.get_context("fork").Process(target=child)
             proc.start()
             proc.join(timeout=60)
