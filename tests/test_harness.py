@@ -131,13 +131,19 @@ class TestNormalizedErrorLaw:
         ("t-law", None, None, "1a385870654d84305246daadb9913e14114cd448896df4683dba875e07b953d0"),
         ("sparse", 500, None, "2955158b657a539f190245bc6a30f6b23752993935678c6a41edcbadf1833dfa"),
         ("sparse", 50, 3, "cb76e6c00b8cc77b571e3487ba84137a92005680b5504390057122407c2fc541"),
+        ("narrow-rademacher", 500, None, "be1042a446324a7d7eac36892d0ab02c1a3f069669937d1f880e81da671d405a"),
+        ("narrow-sparse", 50, 3, "68a4a0a5c45048b1c73f694f85457d472d9e8e4c5b7f5f47eced8c00018abe8d"),
     ])
     def test_row_path_bits_pinned(self, monkeypatch, case, replicates, block_vectors, digest):
-        # exact bits of the replicate study; 3-vector blocks split its N = 7 replicates
+        # exact bits of the replicate study; 3-vector blocks split its N = 7 replicates.
+        # Row 10 of tridiag(20, 0.5) reads 3 of a probe's 20 entries (the narrow cases)
         if block_vectors is not None:
             monkeypatch.setattr(probes, "_BLOCK_VECTORS", block_vectors)
         if case == "t-law":
             errors = normalized_error_samples(make_test_matrix("tridiag", 20, 0.5), 10, 10, 10_000, 2)
+        elif case.startswith("narrow-"):
+            spec = rademacher() if case == "narrow-rademacher" else EstimatorSpec("sparse", 3.0)
+            errors = replicate_component_errors(make_test_matrix("tridiag", 20, 0.5), 10, spec, 7, replicates, 5)
         else:
             op = make_test_matrix("rank1", 100, 0.01)
             errors = replicate_component_errors(op, 7, EstimatorSpec("sparse", 3.0), 7, replicates, 5)
