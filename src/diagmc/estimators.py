@@ -210,7 +210,10 @@ def _run_blocks(
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum is refused below
         for count in _block_counts(dim, n_samples):
             left, right, state = draw(state, count)
-            if not np.isfinite(reduce(first, left, right)).all():
+            sums = reduce(first, left, right)
+            # this block's factors are freed before the next block is drawn
+            del left, right
+            if not np.isfinite(sums).all():
                 raise ValueError(
                     "non-finite matvec or gradient values at probe counters "
                     f"[{state.counter - count}, {state.counter})"

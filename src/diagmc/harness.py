@@ -369,6 +369,12 @@ def replicate_component_errors(
     return _row_errors(_component_row(op, index), index, spec, n_samples, replicates, seed)
 
 
+def _row_hull(row: np.ndarray, index: int) -> slice:
+    # the probe entries a row study reads: the hull of the row's nonzeros and entry ``index``
+    reads = np.append(np.flatnonzero(row), index)
+    return slice(int(reads.min()), int(reads.max()) + 1)
+
+
 def _row_errors(row, index, spec, n_samples, replicates, seed) -> np.ndarray:
     # replicate_component_errors given row ``index`` of the operator
     if n_samples < 1 or replicates < 1:
@@ -376,9 +382,15 @@ def _row_errors(row, index, spec, n_samples, replicates, seed) -> np.ndarray:
     normalized = spec.method == "normalized_gaussian"
     num = np.zeros(replicates)
     den = np.zeros(replicates) if normalized else np.full(replicates, float(n_samples))
+    hull = _row_hull(row, index)
 
     def draw(state, count):
-        block, state = sample_probe_block(spec, row.size, state, count)
+        if hull.stop - hull.start == row.size:
+            block, state = sample_probe_block(spec, row.size, state, count)
+        else:
+            # zeros elsewhere, so that the product below runs the operations of a whole block
+            block = np.zeros((row.size, count))
+            block[hull], state = sample_probe_block(spec, row.size, state, count, rows=hull)
         return row @ block, block[index], state
 
     def reduce(first, products, entries):

@@ -24,6 +24,7 @@ entry (a pair per two Gaussian entries), as in format 2.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional
@@ -303,60 +304,90 @@ def _sample_block(
     count: int,
     fill: Callable[[np.ndarray, np.ndarray], None],
     entries_per_word: int = 1,
+    align: int = 1,
+    rows: Optional[slice] = None,
 ) -> tuple[np.ndarray, RngState]:
     # The word window shared by every public sampler: ``fill`` writes vector j
     # of the block, built from the raw words of counter ``state.counter + j``
-    # (row j of its second argument), into column j of the (n, count) block.
+    # (row j of its second argument, from the first word its entries read), into
+    # column j of the (n, count) block.  Given ``rows``, only the entries [a, b)
+    # that cover it in whole runs of ``align`` (a Gaussian pair, a Rademacher
+    # word) are filled, and the range is cut from them.
     if n < 1:
         raise ValueError("vector length must be at least 1")
     if count < 0:
         raise ValueError("count must be nonnegative")
-    out = np.empty((n, count))
+    lo, hi = _row_range(rows, n)
+    a, b = lo - lo % align, min(n, -(-hi // align) * align)
+    m, skip = b - a, a // entries_per_word
+    out = np.empty((m, count))
     w = _words_per_probe(n, entries_per_word)
     first = state.counter * w
     # one thread draws and fills its block whole: through the split path below, a
     # Gaussian (100, 1) block took 61 us where this takes 38, and a (100, 1024)
     # block of any family 8-30% longer (2-CPU Xeon), in the paper's many short calls
-    if _parts(count, n * count) < 2:
+    if _parts(count, m * count) < 2:
         if count:
-            fill(out, _raw_words(state.seed, first, count * w).reshape(count, w))
-        return out, state.advance(count)
-    # the probes' words go into one word array, runs of _DRAW_WORDS words at a time;
-    # then the block is filled runs of a chunk of rows at a time (a multiple of 64
-    # rows, where every family's words split), so that the scratch of a draw or a
-    # fill is a chunk too
-    words = np.empty((count, w), dtype=np.uint64)
-    flat = words.reshape(-1)
+            fill(out, _raw_words(state.seed, first, count * w).reshape(count, w)[:, skip:])
+    else:
+        # the probes' words go into one word array, runs of _DRAW_WORDS words at a
+        # time; then the block is filled runs of a chunk of rows at a time (a multiple
+        # of 64 rows, where every family's words split), so that the scratch of a
+        # draw or a fill is a chunk too
+        words = np.empty((count, w), dtype=np.uint64)
+        flat = words.reshape(-1)
 
-    def draw(runs):
-        for lo, hi in runs:
-            flat[lo:hi] = _raw_words(state.seed, first + lo, hi - lo)
+        def draw(runs):
+            for i, j in runs:
+                flat[i:j] = _raw_words(state.seed, first + i, j - i)
 
-    step = 64 * max(1, _chunk_rows(n, count) // 64)
+        step = 64 * max(1, _chunk_rows(m, count) // 64)
 
-    def rows(runs):
-        for lo, hi in runs:
-            fill(out[lo:hi], words[:, lo // entries_per_word : (lo + step) // entries_per_word])
+        def fill_rows(runs):
+            for i, j in runs:
+                fill(out[i:j], words[:, skip + i // entries_per_word : skip + (i + step) // entries_per_word])
 
-    _split(flat.size, _DRAW_WORDS, n * count, draw)
-    _split(n, step, n * count, rows)
+        _split(flat.size, _DRAW_WORDS, m * count, draw)
+        _split(m, step, m * count, fill_rows)
+    if (a, b) != (lo, hi):
+        out = out[lo - a : hi - a].copy()
     return out, state.advance(count)
 
 
+def _row_range(rows: Optional[slice], n: int) -> tuple[int, int]:
+    # the bounds [lo, hi) of a probe entry range: a slice of step 1 within [0, n)
+    if rows is None:
+        return 0, n
+    if not isinstance(rows, slice) or rows.step not in (None, 1):
+        raise ValueError(f"rows must be a slice of step 1, got {rows!r}")
+    lo = 0 if rows.start is None else operator.index(rows.start)
+    hi = n if rows.stop is None else operator.index(rows.stop)
+    if not (0 <= lo < hi <= n):
+        raise ValueError(f"rows [{lo}, {hi}) must be a nonempty range within [0, {n})")
+    return lo, hi
+
+
 def sample_probe_block(
-    spec: EstimatorSpec, n: int, state: RngState, count: int
+    spec: EstimatorSpec, n: int, state: RngState, count: int, rows: Optional[slice] = None
 ) -> tuple[np.ndarray, RngState]:
     """Draw ``count`` consecutive probes of ``spec`` as the columns of an (n, count) array.
 
     Column ``j`` is exactly the probe addressed by ``state.counter + j``; the
     block decomposition has no effect on the values drawn.
+
+    ``rows=slice(lo, hi)`` (step 1, ``0 <= lo < hi <= n``) returns entries
+    ``lo`` to ``hi`` of each probe alone: a new C-contiguous (hi - lo, count)
+    array equal bit for bit to ``[lo:hi]`` of the whole block, whose state
+    advances as much.  Every probe's words are still drawn; only the entries
+    that make the range (whole Gaussian pairs, whole 64-entry Rademacher words)
+    are computed.
     """
     if _draws_gaussians(spec):
-        return _sample_block(n, state, count, _fill_gaussian)
+        return _sample_block(n, state, count, _fill_gaussian, align=2, rows=rows)
     if spec.sparsity == 1.0:
         # Rademacher, and sparse_rademacher(1) with it
-        return _sample_block(n, state, count, _fill_rademacher, entries_per_word=64)
-    return _sample_block(n, state, count, partial(_fill_sparse, s=spec.s))
+        return _sample_block(n, state, count, _fill_rademacher, entries_per_word=64, align=64, rows=rows)
+    return _sample_block(n, state, count, partial(_fill_sparse, s=spec.s), rows=rows)
 
 
 def sample_uniform_block(

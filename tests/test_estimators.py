@@ -202,6 +202,17 @@ class TestStreaming:
         ref = np.abs(single.value) + 1e-300
         assert np.all(np.abs(merged.value - single.value) / ref <= 1e-12)
 
+    @pytest.mark.parametrize("matrix", ["tridiag", "rank1"])
+    def test_a_blocks_factors_are_freed_before_the_next_draw(self, peak_bytes, matrix):
+        # four (100, 1024) blocks: a block's words, probes and their image make three
+        # blocks' bytes at most, where keeping the last block's two factors through
+        # the next draw and apply took 4.6-5
+        op = make_test_matrix(matrix, 100, 0.5 if matrix == "tridiag" else 0.01)
+        block = 100 * 1024 * 8
+        est, peak = peak_bytes(lambda: estimate_diagonal(op, gaussian(), 4096, 0))
+        assert est.n_samples == 4096
+        assert peak < 3.5 * block
+
     def test_merge_requires_matching_shape_and_mode(self):
         with pytest.raises(ValueError):
             DiagonalEstimate(3).merge(DiagonalEstimate(4))

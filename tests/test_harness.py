@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from diagmc import operators, probes
+from diagmc import harness, operators, probes
 from diagmc.estimators import estimate_diagonal, estimate_diagonal_normalized
 from diagmc.harness import (
     DEFAULT_N_GRID,
@@ -148,6 +148,43 @@ class TestNormalizedErrorLaw:
             op = make_test_matrix("rank1", 100, 0.01)
             errors = replicate_component_errors(op, 7, EstimatorSpec("sparse", 3.0), 7, replicates, 5)
         assert hashlib.sha256(np.ascontiguousarray(errors).tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("name", ["rademacher", "sparse", "gaussian", "normalized_gaussian"])
+    @pytest.mark.parametrize("matrix, n, index, hull", [
+        ("tridiag", 20, 0, (0, 2)), ("tridiag", 20, 10, (9, 12)), ("tridiag", 20, 19, (18, 20)),
+        ("tridiag", 200, 63, (62, 65)), ("tridiag", 200, 128, (127, 130)),
+    ])
+    @pytest.mark.parametrize("block_vectors", [None, 3])
+    def test_range_path_matches_full_path(self, monkeypatch, name, matrix, n, index, hull, block_vectors):
+        # a narrow row draws its hull alone; the same study drawing whole blocks gives the same bits
+        if block_vectors is not None:
+            monkeypatch.setattr(probes, "_BLOCK_VECTORS", block_vectors)
+        op = make_test_matrix(matrix, n, 0.5)
+        spec = EstimatorSpec(name, 3.0 if name == "sparse" else None)
+        drawn = []
+
+        def recording(*args, rows=None):
+            drawn.append(rows)
+            return sample_probe_block(*args, rows=rows)
+
+        monkeypatch.setattr(harness, "sample_probe_block", recording)
+        narrow = replicate_component_errors(op, index, spec, 7, 20, 3)
+        assert drawn and all(rows == slice(*hull) for rows in drawn)
+        drawn.clear()
+        monkeypatch.setattr(harness, "_row_hull", lambda row, index: slice(0, row.size))
+        whole = replicate_component_errors(op, index, spec, 7, 20, 3)
+        assert drawn and all(rows is None for rows in drawn)
+        assert np.array_equal(narrow.view(np.uint64), whole.view(np.uint64))
+
+    @pytest.mark.parametrize("row, index, hull", [
+        ([0.0, 0.0, 0.0, 0.0], 2, (2, 3)),
+        ([0.0, 1.0, 0.0, 0.0], 3, (1, 4)),
+        ([0.0, -0.0, 0.0, 2.0], 3, (3, 4)),
+        ([1.0, 0.0, 0.0, 1.0], 1, (0, 4)),
+    ])
+    def test_row_hull(self, row, index, hull):
+        # the row's nonzeros and the estimated entry; a signed zero reads nothing
+        assert harness._row_hull(np.array(row), index) == slice(*hull)
 
     def test_diagonal_component_rejected(self):
         op = make_test_matrix("tridiag", 5, 0.5)

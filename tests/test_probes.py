@@ -660,3 +660,91 @@ def test_parts_draw_their_words_a_chunk_at_a_time(peak_bytes, monkeypatch, draw,
     words = count * probes._words_per_probe(n) * 8
     block, peak = peak_bytes(lambda: sample_uniform_block(n, RngState(3), count)[0])
     assert (peak <= block.nbytes + words + 3 * 8 * 2**15 + 2**14) == fits
+
+
+class TestRowRange:
+    """``rows=slice(lo, hi)`` gives ``[lo:hi]`` of the whole block bit for bit, sign of zero included."""
+
+    SPECS = {"rademacher": rademacher(), "sparse": sparse_rademacher(3), "gaussian": gaussian()}
+    # Rademacher ranges on both sides of the word boundaries 63|64 and 127|128; Gaussian
+    # ones at odd n whose ends split a pair (entries 2p, 2p + 1)
+    RANGES = [
+        ("rademacher", 200, 63, 64), ("rademacher", 200, 63, 65), ("rademacher", 200, 64, 128),
+        ("rademacher", 200, 127, 129), ("rademacher", 200, 60, 130), ("rademacher", 129, 128, 129),
+        ("rademacher", 20, 9, 12),
+        ("sparse", 20, 9, 12), ("sparse", 200, 0, 1), ("sparse", 200, 199, 200),
+        ("gaussian", 21, 9, 12), ("gaussian", 21, 10, 11), ("gaussian", 21, 3, 21),
+        ("gaussian", 21, 20, 21), ("gaussian", 21, 0, 21), ("gaussian", 1, 0, 1),
+    ]
+
+    @staticmethod
+    def _assert_range(spec, n, lo, hi, state, count):
+        whole, end = sample_probe_block(spec, n, state, count)
+        part, part_end = sample_probe_block(spec, n, state, count, rows=slice(lo, hi))
+        assert part.shape == (hi - lo, count) and part_end == end
+        assert part.flags.c_contiguous and part.flags.owndata
+        assert np.array_equal(part.view(np.uint64), whole[lo:hi].view(np.uint64))
+
+    @pytest.mark.parametrize("count", [0, 1, 37])
+    @pytest.mark.parametrize("kind, n, lo, hi", RANGES)
+    def test_range_is_the_whole_blocks_rows(self, kind, n, lo, hi, count):
+        self._assert_range(self.SPECS[kind], n, lo, hi, RngState(5, 3), count)
+
+    @pytest.mark.parametrize("kind, n, lo, hi", RANGES)
+    def test_range_in_parts(self, in_parts, kind, n, lo, hi):
+        with in_parts():
+            self._assert_range(self.SPECS[kind], n, lo, hi, RngState(5, 3), 37)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 200), data=st.data(), count=st.integers(0, 9),
+           kind=st.sampled_from(["rademacher", "sparse", "gaussian"]))
+    def test_any_range(self, n, data, count, kind):
+        lo = data.draw(st.integers(0, n - 1))
+        hi = data.draw(st.integers(lo + 1, n))
+        self._assert_range(self.SPECS[kind], n, lo, hi, RngState(9, 2**33), count)
+
+    def test_normalized_gaussian_draws_the_gaussian_range(self):
+        part, _ = sample_probe_block(EstimatorSpec("normalized_gaussian"), 21, RngState(5), 4, rows=slice(9, 12))
+        whole, _ = sample_probe_block(gaussian(), 21, RngState(5), 4)
+        assert np.array_equal(part.view(np.uint64), whole[9:12].view(np.uint64))
+
+    @pytest.mark.parametrize("kind, lo, hi, filled", [
+        ("gaussian", 9, 12, 4), ("gaussian", 10, 12, 2), ("sparse", 9, 12, 3),
+        ("rademacher", 63, 65, 128), ("rademacher", 64, 65, 64), ("rademacher", 195, 196, 8),
+    ])
+    def test_only_the_cover_is_filled(self, monkeypatch, kind, lo, hi, filled):
+        # whole Gaussian pairs, whole 64-entry words (the last one cut at n = 200), single sparse entries
+        fill = {"gaussian": "_fill_gaussian", "sparse": "_fill_sparse", "rademacher": "_fill_rademacher"}[kind]
+        rows, original = [], getattr(probes, fill)
+
+        def recording(out, words, **kw):
+            rows.append(len(out))
+            original(out, words, **kw)
+
+        monkeypatch.setattr(probes, fill, recording)
+        sample_probe_block(self.SPECS[kind], 200, RngState(1), 5, rows=slice(lo, hi))
+        assert rows == [filled]
+
+    def test_a_narrow_range_of_a_large_block_is_drawn_whole(self, monkeypatch):
+        # the choice of the split path counts the entries filled, 64 x 64 here, not the
+        # block's 5*10^4 x 64: one thread draws the words in one call, where the split
+        # path draws runs of _DRAW_WORDS words
+        monkeypatch.setattr(operators, "_WORKERS", 2)
+        calls, raw = [], probes._raw_words
+        monkeypatch.setattr(probes, "_raw_words", lambda *args: calls.append(args) or raw(*args))
+        part, _ = sample_probe_block(gaussian(), 50_000, RngState(3), 64, rows=slice(100, 164))
+        assert part.shape == (64, 64) and len(calls) == 1
+        sample_probe_block(gaussian(), 50_000, RngState(3), 64)
+        assert len(calls) > 2
+
+    @pytest.mark.parametrize("rows", [
+        slice(-1, 5), slice(0, 21), slice(5, 5), slice(6, 5), slice(0, 10, 2), slice(0, 10, -1), [1, 2],
+    ], ids=["negative-lo", "hi-past-n", "empty", "reversed", "step-2", "step-minus-1", "not-a-slice"])
+    def test_bad_range_rejected(self, rows):
+        with pytest.raises(ValueError, match="rows"):
+            sample_probe_block(gaussian(), 20, RngState(0), 3, rows=rows)
+
+    def test_open_ends_mean_the_whole_probe(self):
+        whole, _ = sample_probe_block(rademacher(), 70, RngState(2), 3)
+        part, _ = sample_probe_block(rademacher(), 70, RngState(2), 3, rows=slice(None, None))
+        assert np.array_equal(part, whole)
