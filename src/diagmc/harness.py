@@ -23,7 +23,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from . import bounds
+from . import bounds, probes
 from .estimators import (
     DiagonalEstimate,
     QuadraticGradientOracle,
@@ -33,7 +33,15 @@ from .estimators import (
     normwise_relative_error,
 )
 from .operators import SymmetricOperator, _check_index, make_test_matrix, TEST_MATRIX_KINDS
-from .probes import EstimatorSpec, RngState, derive_seed, sample_probe_block
+from .probes import (
+    EstimatorSpec,
+    RngState,
+    _block_counts,
+    _draws_gaussians,
+    _words_per_probe,
+    derive_seed,
+    sample_probe_block,
+)
 from .special import kolmogorov_critical, kolmogorov_sf, student_t_cdf
 
 __all__ = [
@@ -362,9 +370,14 @@ def replicate_component_errors(
 
     Replicate r consumes counters [r*N, (r+1)*N) of a single stream, so the
     replicates are disjoint and the study is one pass over probe blocks, which may
-    split a replicate.  By symmetry the inner products use only row ``index``.
-    Non-finite sums are refused as :func:`~diagmc.estimators.estimate_diagonal`
-    refuses them.
+    split a replicate.  By symmetry the inner products use only row ``index``,
+    so only the probe entries that the row and entry ``index`` read are drawn, a
+    run of consecutive blocks per sampler call: as many blocks as keep the run's
+    filled entries within those of one block of whole vectors and its raw words
+    within the 32 MiB block budget, one block at least.  Each block of the run is
+    reduced on its own, so the errors equal those of block-by-block draws bit for
+    bit.  Non-finite sums are refused as
+    :func:`~diagmc.estimators.estimate_diagonal` refuses them.
     """
     return _row_errors(_component_row(op, index), index, spec, n_samples, replicates, seed)
 
@@ -375,6 +388,19 @@ def _row_hull(row: np.ndarray, index: int) -> slice:
     return slice(int(reads.min()), int(reads.max()) + 1)
 
 
+def _run_probes(spec: EstimatorSpec, n: int, hull: slice, block: int) -> int:
+    # How many probes a row study draws in one call: a run of whole blocks, as many
+    # as keep the run's filled entries within one block of whole vectors (n x block)
+    # and its raw words within _BLOCK_BYTES, one block at least.  The filled entries
+    # cover the hull in whole units of the family, as sample_probe_block fills them
+    # (Gaussian pairs, 64-entry Rademacher words, single sparse entries), so a
+    # cover that spans the whole row takes one block.
+    per_word, align = (1, 2) if _draws_gaussians(spec) else (64, 64) if spec.sparsity == 1.0 else (1, 1)
+    lo, hi = hull.start - hull.start % align, min(n, -(-hull.stop // align) * align)
+    words = 8 * _words_per_probe(n, per_word) * block
+    return block * max(1, min(n // (hi - lo), probes._BLOCK_BYTES // words))
+
+
 def _row_errors(row, index, spec, n_samples, replicates, seed) -> np.ndarray:
     # replicate_component_errors given row ``index`` of the operator
     if n_samples < 1 or replicates < 1:
@@ -382,16 +408,32 @@ def _row_errors(row, index, spec, n_samples, replicates, seed) -> np.ndarray:
     normalized = spec.method == "normalized_gaussian"
     num = np.zeros(replicates)
     den = np.zeros(replicates) if normalized else np.full(replicates, float(n_samples))
+    n, total = row.size, replicates * n_samples
     hull = _row_hull(row, index)
+    rows = None if hull.stop - hull.start == n else hull
+    block = next(_block_counts(n, total))
+    per_run = _run_probes(spec, n, hull, block)
+    state = seed if isinstance(seed, RngState) else RngState(int(seed))
+
+    def blocks(state):
+        # the stream's blocks in order, as _block_counts cuts it, one draw a run of them
+        for first in range(0, total, per_run):
+            run, state = sample_probe_block(spec, n, state, min(per_run, total - first), rows=rows)
+            for j in range(0, run.shape[1], block):
+                yield run[:, j : j + block]
+
+    stream, zeros = blocks(state), None
 
     def draw(state, count):
-        if hull.stop - hull.start == row.size:
-            block, state = sample_probe_block(spec, row.size, state, count)
-        else:
+        nonlocal zeros
+        vectors = next(stream)
+        if rows is not None:
             # zeros elsewhere, so that the product below runs the operations of a whole block
-            block = np.zeros((row.size, count))
-            block[hull], state = sample_probe_block(spec, row.size, state, count, rows=hull)
-        return row @ block, block[index], state
+            if zeros is None or zeros.shape[1] != count:
+                zeros = np.zeros((n, count))
+            zeros[hull] = vectors
+            vectors = zeros
+        return row @ vectors, vectors[index], state.advance(count)
 
     def reduce(first, products, entries):
         lo = first // n_samples
@@ -402,7 +444,7 @@ def _row_errors(row, index, spec, n_samples, replicates, seed) -> np.ndarray:
             den[reps] += np.bincount(owner, entries ** 2)
         return num[reps]
 
-    _run_blocks(row.size, draw, reduce, replicates * n_samples, seed)
+    _run_blocks(n, draw, reduce, total, state)
     return num / den - float(row[index])
 
 

@@ -8,6 +8,7 @@ is all the package needs.
 """
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -118,9 +119,14 @@ def kolmogorov_sf(x: float) -> float:
 
 
 def kolmogorov_critical(alpha: float) -> float:
-    """The value c with P[K >= c] = alpha, by bisection."""
+    """The value c with P[K >= c] = alpha, by bisection, computed once per alpha."""
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must lie in (0, 1)")
+    return _kolmogorov_critical(float(alpha))
+
+
+@lru_cache
+def _kolmogorov_critical(alpha: float) -> float:
     lo, hi = 0.1, 5.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)

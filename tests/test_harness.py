@@ -153,28 +153,76 @@ class TestNormalizedErrorLaw:
     @pytest.mark.parametrize("matrix, n, index, hull", [
         ("tridiag", 20, 0, (0, 2)), ("tridiag", 20, 10, (9, 12)), ("tridiag", 20, 19, (18, 20)),
         ("tridiag", 200, 63, (62, 65)), ("tridiag", 200, 128, (127, 130)),
+        ("tridiag", 21, 20, (19, 21)), ("tridiag", 200, 64, (63, 66)),
     ])
-    @pytest.mark.parametrize("block_vectors", [None, 3])
+    @pytest.mark.parametrize("block_vectors", [None, 3, 7])
     def test_range_path_matches_full_path(self, monkeypatch, name, matrix, n, index, hull, block_vectors):
-        # a narrow row draws its hull alone; the same study drawing whole blocks gives the same bits
+        # a narrow row draws its hull alone, a run of blocks a call; the same study drawing
+        # its hull a block a call, or drawing whole blocks, gives the same bits
         if block_vectors is not None:
             monkeypatch.setattr(probes, "_BLOCK_VECTORS", block_vectors)
         op = make_test_matrix(matrix, n, 0.5)
         spec = EstimatorSpec(name, 3.0 if name == "sparse" else None)
-        drawn = []
+        counts, drawn = list(probes._block_counts(n, 140)), []
 
-        def recording(*args, rows=None):
-            drawn.append(rows)
-            return sample_probe_block(*args, rows=rows)
+        def recording(spec, n, state, count, rows=None):
+            drawn.append((count, rows))
+            return sample_probe_block(spec, n, state, count, rows=rows)
+
+        def study():
+            drawn.clear()
+            return replicate_component_errors(op, index, spec, 7, 20, 3).view(np.uint64)
 
         monkeypatch.setattr(harness, "sample_probe_block", recording)
-        narrow = replicate_component_errors(op, index, spec, 7, 20, 3)
-        assert drawn and all(rows == slice(*hull) for rows in drawn)
-        drawn.clear()
+        runs = study()
+        per_run = harness._run_probes(spec, n, slice(*hull), counts[0])
+        assert drawn == [(min(per_run, 140 - first), slice(*hull)) for first in range(0, 140, per_run)]
+        assert per_run % counts[0] == 0
+        monkeypatch.setattr(harness, "_run_probes", lambda spec, n, hull, block: block)
+        blocks = study()
+        assert drawn == [(count, slice(*hull)) for count in counts]
         monkeypatch.setattr(harness, "_row_hull", lambda row, index: slice(0, row.size))
-        whole = replicate_component_errors(op, index, spec, 7, 20, 3)
-        assert drawn and all(rows is None for rows in drawn)
-        assert np.array_equal(narrow.view(np.uint64), whole.view(np.uint64))
+        whole = study()
+        assert drawn == [(count, None) for count in counts]
+        assert np.array_equal(runs, blocks)
+        assert np.array_equal(runs, whole)
+
+    @pytest.mark.parametrize("name", ["rademacher", "sparse", "gaussian", "normalized_gaussian"])
+    def test_run_cut_short_by_block_bytes(self, monkeypatch, name):
+        # 960 bytes hold the words of two 3-vector blocks at n = 20: a Gaussian or sparse
+        # run of row 10 takes two blocks, not the five or six its entries allow
+        monkeypatch.setattr(probes, "_BLOCK_BYTES", 960)
+        self.test_range_path_matches_full_path(monkeypatch, name, "tridiag", 20, 10, (9, 12), 3)
+
+    @pytest.mark.parametrize("name, n, hull, block_bytes, block, run", [
+        # 4 of 20 entries filled (two Gaussian pairs): five blocks fill those of one
+        ("normalized_gaussian", 20, (9, 12), None, 1024, 5 * 1024),
+        ("gaussian", 20, (9, 12), 960, 3, 2 * 3),
+        ("sparse", 20, (9, 12), None, 1024, 6 * 1024),
+        # one 64-entry word covers the row: one block
+        ("rademacher", 20, (9, 12), None, 1024, 1024),
+        ("rademacher", 200, (62, 65), None, 1024, 1024),
+        # 3 of 200 entries, but 20 blocks of words fill 32 MiB
+        ("sparse", 200, (62, 65), None, 1024, 20 * 1024),
+        ("gaussian", 20, (0, 20), None, 1024, 1024),
+    ])
+    def test_run_size(self, monkeypatch, name, n, hull, block_bytes, block, run):
+        if block_bytes is not None:
+            monkeypatch.setattr(probes, "_BLOCK_BYTES", block_bytes)
+        spec = EstimatorSpec(name, 3.0 if name == "sparse" else None)
+        assert harness._run_probes(spec, n, slice(*hull), block) == run
+
+    def test_t_law_suite_draws_runs(self, monkeypatch):
+        # the bench's t-law suite: 10^5 probes in 98 blocks of 1,024, drawn in 20 calls
+        drawn = []
+
+        def recording(spec, n, state, count, rows=None):
+            drawn.append(count)
+            return sample_probe_block(spec, n, state, count, rows=rows)
+
+        monkeypatch.setattr(harness, "sample_probe_block", recording)
+        normalized_error_samples(make_test_matrix("tridiag", 20, 0.5), 10, 10, 10_000, 2)
+        assert drawn == [5120] * 19 + [2720]
 
     @pytest.mark.parametrize("row, index, hull", [
         ([0.0, 0.0, 0.0, 0.0], 2, (2, 3)),

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from diagmc import special
 from diagmc.special import (
     kolmogorov_critical,
     kolmogorov_sf,
@@ -124,6 +125,19 @@ class TestKolmogorov:
             crit = kolmogorov_critical(alpha)
             assert kolmogorov_sf(crit) == pytest.approx(alpha, rel=1e-6)
         assert kolmogorov_critical(0.01) == pytest.approx(1.62762, abs=1e-4)
+
+    def test_critical_computed_once_per_alpha(self, monkeypatch):
+        # the bisection evaluates the series 200 times for a new alpha, never for a repeated one
+        special._kolmogorov_critical.cache_clear()
+        calls = []
+        series = special.kolmogorov_sf
+        monkeypatch.setattr(special, "kolmogorov_sf", lambda x: calls.append(x) or series(x))
+        first = kolmogorov_critical(0.01)
+        assert len(calls) == 200
+        for alpha in (0.01, np.float64(0.01)):
+            assert kolmogorov_critical(alpha) is first
+        assert len(calls) == 200
+        assert kolmogorov_critical(0.05) != first and len(calls) == 400
 
     def test_invalid_alpha(self):
         with pytest.raises(ValueError):
